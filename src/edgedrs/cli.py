@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from .closed_form import Deviation, family_pair_count, verify_family
@@ -19,13 +17,13 @@ from .families import GraphSpecError, LabeledGraph, from_spec, make_generalized_
 from .report import Battery, render_markdown, run_battery
 from .resolving import (
     DEFAULT_BUDGET,
-    DOUBLY_RESOLVING,
-    RESOLVING,
     BudgetExceededError,
-    SearchResult,
+    edge_metric_dimension,
     greedy_doubly_resolving,
     is_doubly_resolving,
-    min_cardinality_search,
+    metric_dimension,
+    psi,
+    psi_edge,
 )
 
 EXIT_OK = 0
@@ -47,6 +45,13 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
     if graph:
         p.add_argument(
@@ -64,10 +69,8 @@ def _add_search_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("vertex", "edge"), default="vertex")
     p.add_argument("--all-optima", action="store_true",
                    help="collect every optimal set at the answer cardinality")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="cap on candidate subsets examined")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for multi-instance commands")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, graph=False)
     p.add_argument("--family", choices=("sunlet", "prism"), required=True)
     p.add_argument("--n", required=True, help="size range a..b")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("reproduce", help="run the full reference battery")
     _add_common(p, graph=False)
@@ -118,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="size range a..b")
     p.add_argument("--k", default="all",
                    help="skip parameter: an integer or 'all' valid values")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     return parser
 
 
@@ -157,15 +158,6 @@ def _graph_summary(lg: LabeledGraph, spec: str) -> dict:
         "order": lg.graph.order,
         "size": lg.graph.size,
     }
-
-
-def _result_payload(
-    result: SearchResult, lg: LabeledGraph, mode: str, include_timing: bool
-) -> dict:
-    labels = None
-    if mode == "edge" and lg.labels:
-        labels = lg.line_label_order()
-    return result.to_json_dict(labels=labels, include_timing=include_timing)
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +221,23 @@ def _cmd_distances(args) -> int:
     return EXIT_OK
 
 
-def _run_search(args, predicate: str) -> tuple[dict, list[str], int]:
+_SEARCHES = {
+    ("dim", "vertex"): metric_dimension,
+    ("dim", "edge"): edge_metric_dimension,
+    ("psi", "vertex"): psi,
+    ("psi", "edge"): psi_edge,
+}
+
+
+def _cmd_search(args) -> int:
     lg = from_spec(args.graph)
     g = lg.graph
-    dm = g.line_distance_matrix if args.mode == "edge" else g.distance_matrix
-    start_k = 1 if predicate == RESOLVING else 2
-    if predicate == DOUBLY_RESOLVING and getattr(args, "start_at_dim", False):
-        dim = min_cardinality_search(dm, RESOLVING, budget=args.budget)
-        start_k = max(2, dim.cardinality)
-    started = time.perf_counter()
-    result = min_cardinality_search(
-        dm, predicate, start_k, budget=args.budget, all_optima=args.all_optima
-    )
-    elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    payload = _result_payload(result, lg, args.mode, include_timing=True)
-    payload["elapsed_ms"] = elapsed_ms
+    options = {"budget": args.budget, "all_optima": args.all_optima}
+    if args.command == "psi":
+        options["start_at_dimension"] = args.start_at_dim
+    result = _SEARCHES[args.command, args.mode](g, **options)
+    labels = lg.line_label_order() if args.mode == "edge" and lg.labels else None
+    payload = result.to_json_dict(labels=labels)
     report = {
         "command": args.command,
         "graph": _graph_summary(lg, args.graph),
@@ -261,55 +255,33 @@ def _run_search(args, predicate: str) -> tuple[dict, list[str], int]:
     if args.all_optima:
         lines.append(f"optimal sets: {len(result.all_optima)}")
     if not args.no_timing:
-        lines.append(f"elapsed: {elapsed_ms} ms")
-    if getattr(args, "greedy", False) and predicate == DOUBLY_RESOLVING:
+        lines.append(f"elapsed: {payload['elapsed_ms']} ms")
+    if getattr(args, "greedy", False):
+        dm = g.line_distance_matrix if args.mode == "edge" else g.distance_matrix
         greedy = greedy_doubly_resolving(dm)
         assert is_doubly_resolving(dm, greedy).ok
-        if args.mode == "edge" and lg.labels:
-            order = lg.line_label_order()
-            greedy_names = [order[i] for i in greedy]
-        else:
-            greedy_names = list(greedy)
+        greedy_names = [labels[i] for i in greedy] if labels else list(greedy)
         report["greedy"] = {"size": len(greedy), "set": greedy_names}
         lines.append(
             f"greedy upper bound: {len(greedy)} "
             + " ".join(str(x) for x in greedy_names)
         )
-    return report, lines, EXIT_OK
-
-
-def _cmd_dim(args) -> int:
-    report, lines, code = _run_search(args, RESOLVING)
     _emit(report, args, lines)
-    return code
-
-
-def _cmd_psi(args) -> int:
-    report, lines, code = _run_search(args, DOUBLY_RESOLVING)
-    _emit(report, args, lines)
-    return code
-
-
-def _map_instances(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     ns = _parse_range(args.n)
 
-    def one(n: int) -> dict:
+    instances = []
+    for n in ns:
         deviations: list[Deviation] = verify_family(args.family, [n])
-        return {
+        instances.append({
             "family": args.family,
             "n": n,
             "pairs_checked": family_pair_count(args.family, n),
             "deviations": [d.to_json_dict() for d in deviations],
-        }
-
-    instances = _map_instances(one, list(ns), args.threads)
+        })
     total = sum(len(inst["deviations"]) for inst in instances)
     report = {
         "command": "verify",
@@ -369,26 +341,21 @@ def _cmd_experiment(args) -> int:
             if 1 <= k < n / 2:
                 jobs.append((n, k))
 
-    def one(job: tuple[int, int]) -> dict:
-        n, k = job
-        lg = make_generalized_petersen(n, k)
-        dm = lg.graph.line_distance_matrix
-        row: dict = {"n": n, "k": k, "order": lg.graph.order, "size": lg.graph.size}
+    rows = []
+    for n, k in jobs:
+        g = make_generalized_petersen(n, k).graph
+        row: dict = {"n": n, "k": k, "order": g.order, "size": g.size}
         try:
-            dim = min_cardinality_search(dm, RESOLVING, budget=args.budget)
-            row["dim_edge"] = dim.cardinality
+            row["dim_edge"] = edge_metric_dimension(g, budget=args.budget).cardinality
         except BudgetExceededError:
             row["dim_edge"] = None
         try:
-            res = min_cardinality_search(dm, DOUBLY_RESOLVING, budget=args.budget)
-            row["psi_edge"] = res.cardinality
+            row["psi_edge"] = psi_edge(g, budget=args.budget).cardinality
             row["psi_edge_exact"] = True
         except BudgetExceededError:
-            row["psi_edge"] = len(greedy_doubly_resolving(dm))
+            row["psi_edge"] = len(greedy_doubly_resolving(g.line_distance_matrix))
             row["psi_edge_exact"] = False
-        return row
-
-    rows = _map_instances(one, jobs, args.threads)
+        rows.append(row)
     report = {"command": "experiment", "rows": rows}
     lines = ["  n  k  |E|  dim_E  psi_E"]
     for row in rows:
@@ -407,8 +374,8 @@ def _cmd_experiment(args) -> int:
 _HANDLERS = {
     "generate": _cmd_generate,
     "distances": _cmd_distances,
-    "dim": _cmd_dim,
-    "psi": _cmd_psi,
+    "dim": _cmd_search,
+    "psi": _cmd_search,
     "verify": _cmd_verify,
     "reproduce": _cmd_reproduce,
     "experiment": _cmd_experiment,

@@ -191,13 +191,6 @@ class LineGraphMap:
     base_edges: tuple[Edge, ...]
     graph: Graph
 
-    def index_of(self, edge: tuple[int, int]) -> int:
-        e = canonical_edge(*edge)
-        try:
-            return self.base_edges.index(e)
-        except ValueError:
-            raise EdgeNotInGraphError(f"edge {e} is not a base edge") from None
-
 
 def build_graph(
     order: int,
@@ -235,10 +228,6 @@ def line_graph(g: Graph) -> LineGraphMap:
     return LineGraphMap(g.edges, Graph(len(g.edges), sorted(line_edges)))
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    return g.distance_matrix
-
-
 def edge_distance(g: Graph, f: tuple[int, int], h: tuple[int, int]) -> int:
     """Distance between two edges of ``g`` measured in its line graph."""
     i = g.edge_index(f)
@@ -262,23 +251,36 @@ def graph_to_json_dict(
     return payload
 
 
+# Graph allocates per vertex, so without a cap a few bytes of JSON could
+# demand unbounded memory; dense distance matrices rule out larger graphs.
+MAX_JSON_ORDER = 100_000
+
+
 def graph_from_json_dict(
     data: Mapping, require_connected: bool = False
 ) -> tuple[Graph, dict[str, Edge] | None]:
+    """Parse graph JSON; any malformed input raises :class:`GraphError`."""
     try:
         order = int(data["order"])
         edges = [(int(u), int(v)) for u, v in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
+    if order > MAX_JSON_ORDER:
+        raise GraphError(f"order {order} exceeds the maximum of {MAX_JSON_ORDER}")
     g = build_graph(order, edges, require_connected=require_connected)
-    labels = None
-    if "labels" in data and data["labels"] is not None:
-        labels = {}
-        for name, pair in data["labels"].items():
+    if data.get("labels") is None:
+        return g, None
+    if not isinstance(data["labels"], Mapping):
+        raise GraphError("malformed graph JSON: labels must map names to edges")
+    labels = {}
+    for name, pair in data["labels"].items():
+        try:
             e = canonical_edge(int(pair[0]), int(pair[1]))
-            if e not in g._edge_index:
-                raise GraphError(f"label {name!r} points at missing edge {e}")
-            labels[str(name)] = e
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise GraphError(f"malformed label {name!r}: {exc}") from exc
+        if e not in g._edge_index:
+            raise GraphError(f"label {name!r} points at missing edge {e}")
+        labels[str(name)] = e
     return g, labels
 
 

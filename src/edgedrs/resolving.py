@@ -4,12 +4,18 @@ All predicates read an immutable :class:`~edgedrs.core.DistanceMatrix`; for
 edge versions that matrix belongs to the line graph, so an element index is
 a line-graph vertex (= an edge of the base graph in canonical order).
 
-A landmark set is doubly resolving when, for every element pair ``(u, v)``,
-the difference vector ``(d(u, x) - d(v, x))`` over the landmarks ``x`` is
-not constant.  This is equivalent to the usual "some two landmarks tell the
-pair apart" phrasing: two landmarks x, y give different differences exactly
-when the vector takes two values, and a constant vector means no pair of
-landmarks does.  Checking non-constancy is O(|landmarks|) per pair.
+Both predicates ask one question: is a coordinate map injective?  A
+landmark sequence ``S = (s1, ..., sk)`` is resolving when
+``w -> (d(w, s))`` over ``s`` in ``S`` is injective.  It is doubly resolving
+when no element pair ``(u, v)`` has a constant difference vector
+``(d(u, s) - d(v, s))``, which holds exactly when the shifted map
+``w -> (d(w, s) - d(w, s1))`` over ``s`` in ``S`` is injective (Caceres et
+al., SIAM J. Discrete Math. 21, 2007; Kratica et al., Comput. Oper. Res.
+36, 2009): a pair collides under the shifted map exactly when all its
+differences equal the one at ``s1``.  The shifted column of ``s1`` is all
+zeros, so the doubly resolving test is the resolving test run on the
+shifted columns of ``S[1:]``.  A failing set's witness is the
+lexicographically first pair of elements with the same image.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Callable, Literal, Sequence
 
 from .core import DistanceMatrix, Graph
 from .families import LabeledGraph
@@ -103,21 +109,40 @@ def representation(
     return tuple(row[x] for x in landmarks)
 
 
+def _shifted_columns(
+    dm: DistanceMatrix, first: int, landmarks: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Column ``d(w, x) - d(w, first)`` over all elements ``w``, per landmark ``x``.
+
+    The matrix is symmetric, so row ``x`` doubles as column ``x``.
+    """
+    base = dm.rows[first]
+    return [tuple(a - b for a, b in zip(dm.rows[x], base)) for x in landmarks]
+
+
+def _collisions(members: Sequence[int], keys) -> list[list[int]]:
+    """Groups of two or more members sharing a key, ordered by first member."""
+    groups: dict = {}
+    for w, key in zip(members, keys):
+        groups.setdefault(key, []).append(w)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def _first_collision(columns: Sequence[Sequence[int]], n: int) -> ResolveReport:
+    """Is ``w -> (column[w] for each column)`` injective on the ``n`` elements?"""
+    collided = _collisions(range(n), zip(*columns))
+    if not collided:
+        return ResolveReport(True)
+    return ResolveReport(False, (collided[0][0], collided[0][1]))
+
+
 def is_resolving(dm: DistanceMatrix, landmarks: Sequence[int]) -> ResolveReport:
     """Do all elements get distinct coordinate vectors?
 
     On failure the witness is the lexicographically first colliding pair.
     """
     _check_landmarks(dm, landmarks, 1)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for e in range(dm.n):
-        row = dm[e]
-        classes.setdefault(tuple(row[x] for x in landmarks), []).append(e)
-    collided = [members for members in classes.values() if len(members) > 1]
-    if not collided:
-        return ResolveReport(True)
-    first = min(collided, key=lambda members: members[0])
-    return ResolveReport(False, (first[0], first[1]))
+    return _first_collision([dm.rows[x] for x in landmarks], dm.n)
 
 
 def doubly_resolves(dm: DistanceMatrix, x: int, y: int, u: int, v: int) -> bool:
@@ -136,16 +161,7 @@ def is_doubly_resolving(dm: DistanceMatrix, landmarks: Sequence[int]) -> Resolve
     difference vector is constant.
     """
     _check_landmarks(dm, landmarks, 2)
-    first = landmarks[0]
-    rest = landmarks[1:]
-    for u in range(dm.n):
-        row_u = dm[u]
-        for v in range(u + 1, dm.n):
-            row_v = dm[v]
-            d0 = row_u[first] - row_v[first]
-            if all(row_u[x] - row_v[x] == d0 for x in rest):
-                return ResolveReport(False, (u, v))
-    return ResolveReport(True)
+    return _first_collision(_shifted_columns(dm, landmarks[0], landmarks[1:]), dm.n)
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +179,17 @@ def _resolving_tester(dm: DistanceMatrix) -> Callable[[tuple[int, ...]], bool]:
 
 
 def _doubly_resolving_tester(dm: DistanceMatrix) -> Callable[[tuple[int, ...]], bool]:
-    # For landmarks x, y let EQ[x][y] be the bitmask of element pairs whose
-    # distance differences agree at x and y.  A subset fails exactly when
-    # some pair agrees across all its landmarks, i.e. when the intersection
-    # of EQ[first][other] over the other landmarks is nonempty.
+    # Lexicographic enumeration keeps the first landmark fixed over long
+    # runs, so only its shifted columns are cached: O(m^2) memory.
     n = dm.n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    cols = []
-    for x in range(n):
-        cols.append([dm[u][x] - dm[v][x] for u, v in pairs])
-    npairs = len(pairs)
-    eq = [[0] * n for _ in range(n)]
-    for x in range(n):
-        cx = cols[x]
-        for y in range(x + 1, n):
-            cy = cols[y]
-            mask = 0
-            bit = 1
-            for p in range(npairs):
-                if cx[p] == cy[p]:
-                    mask |= bit
-                bit <<= 1
-            eq[x][y] = mask
-            eq[y][x] = mask
+    first, columns = -1, []
 
     def passes(subset: tuple[int, ...]) -> bool:
-        first = subset[0]
-        eq_first = eq[first]
-        acc = eq_first[subset[1]]
-        for x in subset[2:]:
-            if acc == 0:
-                return True
-            acc &= eq_first[x]
-        return acc == 0
+        nonlocal first, columns
+        if subset[0] != first:
+            first = subset[0]
+            columns = _shifted_columns(dm, first, range(n))
+        return len(set(zip(*(columns[x] for x in subset[1:])))) == n
 
     return passes
 
@@ -257,32 +251,38 @@ def edge_metric_dimension(g: Graph, **kwargs) -> SearchResult:
     return min_cardinality_search(g.line_distance_matrix, RESOLVING, **kwargs)
 
 
+def _psi_search(
+    dm: DistanceMatrix,
+    start_at_dimension: bool,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    all_optima: bool = False,
+) -> SearchResult:
+    start_k = 2
+    if start_at_dimension:
+        start_k = max(2, min_cardinality_search(dm, RESOLVING, budget=budget).cardinality)
+    return min_cardinality_search(
+        dm, DOUBLY_RESOLVING, start_k, budget=budget, all_optima=all_optima
+    )
+
+
 def psi(g: Graph, *, start_at_dimension: bool = False, **kwargs) -> SearchResult:
     """Minimum doubly resolving set size over vertices (always >= 2).
 
     With ``start_at_dimension`` the search starts at max(2, metric
-    dimension), a valid lower bound since a doubly resolving set resolves.
+    dimension), a valid lower bound since a doubly resolving set resolves;
+    ``budget`` bounds that first search too, ``all_optima`` only the second.
     """
     if g.order < 2:
         raise ValueError("doubly resolving sets need at least 2 vertices")
-    start_k = 2
-    if start_at_dimension:
-        start_k = max(2, metric_dimension(g, **kwargs).cardinality)
-    return min_cardinality_search(
-        g.distance_matrix, DOUBLY_RESOLVING, start_k, **kwargs
-    )
+    return _psi_search(g.distance_matrix, start_at_dimension, **kwargs)
 
 
 def psi_edge(g: Graph, *, start_at_dimension: bool = False, **kwargs) -> SearchResult:
     """Minimum doubly resolving set size over edges, i.e. in the line graph."""
     if g.size < 2:
         raise ValueError("edge doubly resolving sets need at least 2 edges")
-    start_k = 2
-    if start_at_dimension:
-        start_k = max(2, edge_metric_dimension(g, **kwargs).cardinality)
-    return min_cardinality_search(
-        g.line_distance_matrix, DOUBLY_RESOLVING, start_k, **kwargs
-    )
+    return _psi_search(g.line_distance_matrix, start_at_dimension, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,49 +292,40 @@ def psi_edge(g: Graph, *, start_at_dimension: bool = False, **kwargs) -> SearchR
 def greedy_doubly_resolving(dm: DistanceMatrix) -> tuple[int, ...]:
     """Set-cover style heuristic: a doubly resolving set, pruned to minimality.
 
-    Each step adds the landmark that newly separates the most still-constant
-    pairs (ties to the lowest index), then single-element removals that keep
-    the set valid are applied.  The result always passes
+    Seeded with element 0, the still-constant pairs are the pairs inside one
+    class of the shifted map over the chosen landmarks.  Each step adds the
+    landmark whose column cuts the most of those pairs, i.e. lowers
+    sum C(|class|, 2) the most (ties to the lowest index); then single-element
+    removals that keep the set valid are applied.  The result always passes
     :func:`is_doubly_resolving`; it is an upper bound for the exact optimum.
     """
     n = dm.n
     if n < 2:
         raise ValueError("need at least 2 elements")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen: list[int] = []
-    # pair index -> common difference over chosen landmarks; resolved pairs drop out
-    pending: dict[int, int] = {}
-    unseeded = True
-    while True:
-        if not unseeded and not pending:
-            break
+    columns = _shifted_columns(dm, 0, range(n))
+
+    def split(classes: list[list[int]], column: tuple[int, ...]) -> list[list[int]]:
+        return [
+            group
+            for members in classes
+            for group in _collisions(members, (column[w] for w in members))
+        ]
+
+    def pairs(classes: list[list[int]]) -> int:
+        return sum(len(c) * (len(c) - 1) // 2 for c in classes)
+
+    chosen = [0]
+    classes = [list(range(n))]
+    while classes:
         best_x = -1
-        best_gain = -1
+        best_left = pairs(classes)
         for x in range(n):
-            if x in chosen:
-                continue
-            if unseeded:
-                gain = 0
-            else:
-                gain = 0
-                for p, common in pending.items():
-                    u, v = pairs[p]
-                    if dm[u][x] - dm[v][x] != common:
-                        gain += 1
-            if gain > best_gain:
-                best_gain = gain
-                best_x = x
-        if unseeded:
-            chosen.append(best_x)
-            for p, (u, v) in enumerate(pairs):
-                pending[p] = dm[u][best_x] - dm[v][best_x]
-            unseeded = False
-            continue
-        assert best_gain > 0, "greedy stalled; full element set must resolve"
+            left = pairs(split(classes, columns[x]))
+            if left < best_left:
+                best_x, best_left = x, left
+        assert best_x >= 0, "greedy stalled; full element set must resolve"
         chosen.append(best_x)
-        for p in [p for p, common in pending.items()
-                  if dm[pairs[p][0]][best_x] - dm[pairs[p][1]][best_x] != common]:
-            del pending[p]
+        classes = split(classes, columns[best_x])
     result = sorted(chosen)
     for x in list(result):
         if len(result) > 2:
@@ -364,8 +355,7 @@ def labels_doubly_resolve_pair(
     dm = lg.graph.line_distance_matrix
     lm = lg.line_indices(landmark_labels)
     u, v = lg.line_indices(pair)
-    d0 = dm[u][lm[0]] - dm[v][lm[0]]
-    return any(dm[u][x] - dm[v][x] != d0 for x in lm[1:])
+    return any(doubly_resolves(dm, lm[0], x, u, v) for x in lm[1:])
 
 
 def witness_labels(lg: LabeledGraph, report: ResolveReport) -> tuple[str, str] | None:

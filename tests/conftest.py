@@ -4,7 +4,8 @@ The oracles here deliberately use different algorithms and enumeration
 orders than the library so that agreement is meaningful: frontier-set BFS
 instead of queue BFS, pairwise endpoint tests instead of incidence lists,
 descending bitmask powerset scans instead of level-wise lexicographic
-search.
+search, landmark-pair scans instead of injectivity of a shifted map, and an
+explicit pending-pairs dict instead of class partitions for the greedy.
 """
 
 from __future__ import annotations
@@ -85,6 +86,78 @@ def powerset_min_size(dm, check, minimum: int) -> int:
     return best
 
 
+def first_constant_pair(dm, landmarks):
+    """First pair (u, v) in lexicographic order that no two landmarks tell apart.
+
+    Straight from the definition: landmarks x, y doubly resolve u, v when
+    d(u, x) - d(u, y) != d(v, x) - d(v, y).  None when every pair is told apart.
+    """
+    for u, v in combinations(range(dm.n), 2):
+        if all(
+            dm[u][x] - dm[u][y] == dm[v][x] - dm[v][y]
+            for x, y in combinations(landmarks, 2)
+        ):
+            return (u, v)
+    return None
+
+
+def plain_resolves(dm, landmarks) -> bool:
+    """Every element has its own vector of distances to the landmarks."""
+    vectors = [tuple(dm[w][x] for x in landmarks) for w in range(dm.n)]
+    return all(a != b for a, b in combinations(vectors, 2))
+
+
+def plain_doubly_resolves(dm, landmarks) -> bool:
+    return first_constant_pair(dm, landmarks) is None
+
+
+def first_passing_subset(dm, passes, minimum: int):
+    """First passing subset in ``itertools.combinations`` order, level by level,
+    with its 1-based position in that enumeration."""
+    position = 0
+    for k in range(minimum, dm.n + 1):
+        for subset in combinations(range(dm.n), k):
+            position += 1
+            if passes(dm, subset):
+                return subset, position
+    return None
+
+
+def pending_pairs_greedy(dm) -> tuple[int, ...]:
+    """Greedy doubly resolving set over an explicit dict of unresolved pairs.
+
+    Seed element 0; each step adds the element that resolves the most pending
+    pairs (ties to the lowest index); then drop single elements while the set
+    still doubly resolves.
+    """
+    n = dm.n
+    pairs = list(combinations(range(n), 2))
+    chosen = [0]
+    # pair -> common difference over chosen landmarks; resolved pairs drop out
+    pending = {(u, v): dm[u][0] - dm[v][0] for u, v in pairs}
+    while pending:
+        best_x, best_gain = -1, 0
+        for x in range(n):
+            gain = sum(
+                1 for (u, v), common in pending.items() if dm[u][x] - dm[v][x] != common
+            )
+            if gain > best_gain:
+                best_x, best_gain = x, gain
+        assert best_x >= 0
+        chosen.append(best_x)
+        pending = {
+            (u, v): common
+            for (u, v), common in pending.items()
+            if dm[u][best_x] - dm[v][best_x] == common
+        }
+    result = sorted(chosen)
+    for x in list(result):
+        trial = [y for y in result if y != x]
+        if len(trial) >= 2 and plain_doubly_resolves(dm, trial):
+            result = trial
+    return tuple(result)
+
+
 def random_connected_graph(rng, min_order=2, max_order=12) -> Graph:
     """Random spanning tree plus extra edges; connected by construction."""
     n = rng.randint(min_order, max_order)
@@ -112,3 +185,12 @@ def connected_graphs(draw, min_order=2, max_order=12):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return build_graph(n, edges, require_connected=True)
+
+
+@st.composite
+def search_matrices(draw, max_order=7, max_elements=10):
+    """Distance matrix of a random connected graph or of its line graph."""
+    g = draw(connected_graphs(max_order=max_order))
+    if g.size >= 2 and g.size <= max_elements and draw(st.booleans()):
+        return g.line_distance_matrix
+    return g.distance_matrix

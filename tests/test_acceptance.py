@@ -9,7 +9,6 @@ from itertools import combinations
 from edgedrs import (
     DOUBLY_RESOLVING,
     RESOLVING,
-    all_pairs_distances,
     doubly_resolves,
     edge_metric_dimension,
     is_doubly_resolving,
@@ -144,7 +143,7 @@ def test_criterion_09_randomized_property_suite():
     rng = random.Random(90521)
     for _ in range(cases):
         g = random_connected_graph(rng, min_order=2, max_order=40)
-        dm = all_pairs_distances(g)
+        dm = g.distance_matrix
         n = dm.n
         for i in range(n):
             assert dm[i][i] == 0

@@ -91,17 +91,6 @@ def test_verify_clean_exit_zero(capsys):
     assert report["instances"][0]["pairs_checked"] == 18 * 17 // 2 + 18
 
 
-def test_verify_threads_same_result(capsys):
-    base_code, base = run_json(
-        capsys, ["verify", "--family", "sunlet", "--n", "4..7", "--json"]
-    )
-    thr_code, thr = run_json(
-        capsys, ["verify", "--family", "sunlet", "--n", "4..7", "--json", "--threads", "4"]
-    )
-    assert base_code == thr_code == 0
-    assert base == thr
-
-
 def test_verify_deviation_exit_three(capsys, monkeypatch):
     from edgedrs.closed_form import Deviation
 
@@ -190,3 +179,24 @@ def test_budget_error_exit_one(capsys):
     assert run(["psi", "--graph", "prism:8", "--mode", "edge", "--budget", "5"]) == 1
     err = capsys.readouterr().err
     assert "budget" in err
+
+
+@pytest.mark.parametrize("labels", [{"a": 5}, []])
+def test_malformed_labels_exit_one_with_one_line(tmp_path, capsys, labels):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 3, "edges": [[0, 1], [1, 2]], "labels": labels}))
+    assert run(["psi", "--graph", f"file:{path}", "--mode", "edge"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("edge-drs: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["-1", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [["psi", "--graph", "prism:6", "--mode", "edge"],
+     ["dim", "--graph", "prism:6"],
+     ["experiment", "--n", "6..6"]],
+)
+def test_non_positive_budget_is_an_argument_error(capsys, argv, budget):
+    assert run([*argv, "--budget", budget]) == 2
+    assert "--budget" in capsys.readouterr().err

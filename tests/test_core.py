@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgedrs import (
     DisconnectedError,
@@ -12,7 +13,6 @@ from edgedrs import (
     GraphError,
     LoopEdgeError,
     VertexOutOfRangeError,
-    all_pairs_distances,
     build_graph,
     canonical_edge,
     edge_distance,
@@ -73,7 +73,7 @@ def test_disconnected_rejected_in_metric_mode():
     with pytest.raises(DisconnectedError):
         build_graph(4, edges, require_connected=True)
     with pytest.raises(DisconnectedError):
-        all_pairs_distances(g)
+        g.distance_matrix
 
 
 def test_adjacency_symmetric_and_loop_free():
@@ -144,11 +144,11 @@ def test_line_graph_matches_pairwise_construction(g):
 
 def test_path_distance():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert all_pairs_distances(g)[0][2] == 2
+    assert g.distance_matrix[0][2] == 2
 
 
 def test_triangle_distances_all_one():
-    dm = all_pairs_distances(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    dm = build_graph(3, [(0, 1), (1, 2), (0, 2)]).distance_matrix
     for i in range(3):
         for j in range(3):
             assert dm[i][j] == (0 if i == j else 1)
@@ -196,7 +196,7 @@ def test_edge_distance_matches_independent_bfs(g):
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(max_order=40))
 def test_distance_matrix_axioms(g):
-    dm = all_pairs_distances(g)
+    dm = g.distance_matrix
     n = dm.n
     for i in range(n):
         assert dm[i][i] == 0
@@ -237,6 +237,43 @@ def test_json_rejects_label_for_missing_edge():
         graph_from_json_dict(
             {"order": 3, "edges": [[0, 1]], "labels": {"x": [1, 2]}}
         )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["order", "edges", "labels"]) | st.text(max_size=3),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=16,
+)
+
+# close enough to a graph to get past the first checks
+GRAPH_LIKE_JSON = st.fixed_dictionaries(
+    {
+        "order": st.integers(-1, 6) | JSON_VALUES,
+        "edges": st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=6)
+        | JSON_VALUES,
+    },
+    optional={
+        "labels": st.dictionaries(
+            st.text(max_size=2), st.lists(st.integers(-1, 6), max_size=3) | JSON_VALUES,
+            max_size=4,
+        )
+        | JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | GRAPH_LIKE_JSON)
+def test_graph_from_json_dict_raises_only_graph_error(data):
+    try:
+        graph_from_json_dict(data)
+    except GraphError:
+        pass
 
 
 def test_dot_export():

@@ -28,7 +28,18 @@ from edgedrs import (
     witness_labels,
 )
 
-from conftest import connected_graphs, powerset_min_size, random_connected_graph
+import edgedrs.resolving as resolving
+from conftest import (
+    connected_graphs,
+    first_constant_pair,
+    first_passing_subset,
+    pending_pairs_greedy,
+    plain_doubly_resolves,
+    plain_resolves,
+    powerset_min_size,
+    random_connected_graph,
+    search_matrices,
+)
 
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -217,6 +228,25 @@ def test_psi_start_at_dimension_matches():
     assert psi_edge(g).cardinality == psi_edge(g, start_at_dimension=True).cardinality
 
 
+@pytest.mark.parametrize("search", [psi, psi_edge])
+def test_start_at_dimension_forwards_only_budget(monkeypatch, search):
+    # all_optima belongs to the psi level; the dim level needs one optimum
+    calls = []
+    original = resolving.min_cardinality_search
+
+    def recording(dm, predicate, *args, **kwargs):
+        calls.append((predicate, kwargs))
+        return original(dm, predicate, *args, **kwargs)
+
+    monkeypatch.setattr(resolving, "min_cardinality_search", recording)
+    res = search(make_prism(4).graph, start_at_dimension=True, all_optima=True, budget=10**6)
+    assert calls == [
+        (RESOLVING, {"budget": 10**6}),
+        (DOUBLY_RESOLVING, {"budget": 10**6, "all_optima": True}),
+    ]
+    assert res.all_optima[0] == res.best_set
+
+
 def test_budget_exceeded():
     g = make_prism(8).graph
     with pytest.raises(BudgetExceededError):
@@ -279,6 +309,7 @@ def test_greedy_vs_exact_on_prism8():
     exact = min_cardinality_search(dm, DOUBLY_RESOLVING).cardinality
     assert exact == 3
     assert 3 <= len(picked) <= 5
+    assert picked == pending_pairs_greedy(dm)
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +409,36 @@ def test_dim_at_most_psi(g):
     p = psi(g).cardinality
     assert dim <= p
     assert p >= 2
+
+
+# ---------------------------------------------------------------------------
+# plain-definition oracles on vertex and line matrices
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(search_matrices(), st.randoms(use_true_random=False))
+def test_doubly_resolving_matches_pair_scan_oracle(dm, rng):
+    lm = rng.sample(range(dm.n), rng.randint(2, dm.n))
+    report = is_doubly_resolving(dm, lm)
+    witness = first_constant_pair(dm, lm)
+    assert report.ok == (witness is None)
+    assert report.witness == witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_matrices())
+def test_search_matches_first_passing_subset_oracle(dm):
+    for predicate, passes, minimum in (
+        (RESOLVING, plain_resolves, 1),
+        (DOUBLY_RESOLVING, plain_doubly_resolves, 2),
+    ):
+        res = min_cardinality_search(dm, predicate)
+        assert (res.best_set, res.subsets_examined) == first_passing_subset(
+            dm, passes, minimum
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(search_matrices())
+def test_greedy_matches_pending_pairs_oracle(dm):
+    assert greedy_doubly_resolving(dm) == pending_pairs_greedy(dm)
