@@ -129,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _emit(report: dict, args: argparse.Namespace, text_lines: list[str]) -> None:
-    if args.no_timing:
-        _strip_timing(report)
     if args.json:
         body = json.dumps(report, indent=2)
     else:
@@ -139,16 +137,6 @@ def _emit(report: dict, args: argparse.Namespace, text_lines: list[str]) -> None
     if getattr(args, "out", None) and args.command != "reproduce":
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
-
-
-def _strip_timing(obj) -> None:
-    if isinstance(obj, dict):
-        obj.pop("elapsed_ms", None)
-        for value in obj.values():
-            _strip_timing(value)
-    elif isinstance(obj, list):
-        for value in obj:
-            _strip_timing(value)
 
 
 def _graph_summary(lg: LabeledGraph, spec: str) -> dict:
@@ -198,9 +186,7 @@ def _cmd_distances(args) -> int:
     lg = from_spec(args.graph)
     if args.mode == "edge":
         dm = lg.graph.line_distance_matrix
-        names = list(lg.line_label_order()) if lg.labels else [
-            f"{u}-{v}" for u, v in lg.graph.edges
-        ]
+        names = list(lg.line_label_order())
     else:
         dm = lg.graph.distance_matrix
         names = [str(v) for v in range(lg.graph.order)]
@@ -237,7 +223,7 @@ def _cmd_search(args) -> int:
         options["start_at_dimension"] = args.start_at_dim
     result = _SEARCHES[args.command, args.mode](g, **options)
     labels = lg.line_label_order() if args.mode == "edge" and lg.labels else None
-    payload = result.to_json_dict(labels=labels)
+    payload = result.to_json_dict(labels=labels, include_timing=not args.no_timing)
     report = {
         "command": args.command,
         "graph": _graph_summary(lg, args.graph),

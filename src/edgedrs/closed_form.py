@@ -2,10 +2,13 @@
 
 This module encodes two things for each family:
 
-* a base table of distances from a fixed base edge (``e0`` for the sunlet,
-  ``f0`` for the prism), written as explicit distance-class rows, and
-* piecewise translation rules that reduce the distance between any two
-  labeled edges to a base-table lookup plus a small correction.
+* a base table of distances from a fixed base edge (:data:`BASE_EDGE`:
+  ``e0`` for the sunlet, ``f0`` for the prism), written as explicit
+  distance-class rows, and
+* one translation rule that reduces the distance between any two labeled
+  edges to the base-table value at their cyclic offset ``m`` plus a
+  correction of at most 1.  The correction depends on ``m`` only through
+  the sign of ``2m - n``, so the rule has no parity cases.
 
 The rules are a model under test, not an authority: BFS on the line graph
 is ground truth, and :func:`verify_family` reports every pair where the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import DistanceMatrix
 from .families import FamilyParameterError, LabeledGraph, make_prism, make_sunlet
@@ -27,6 +30,10 @@ SUNLET = "sunlet"
 PRISM = "prism"
 
 _MIN_N = {SUNLET: 4, PRISM: 6}
+
+# The edge each family's base table measures from.  Its class is also the
+# class read first in a mixed pair by the distance rule.
+BASE_EDGE = {SUNLET: "e0", PRISM: "f0"}
 
 
 class InvalidLabelError(ValueError):
@@ -68,8 +75,8 @@ def base_table(family: str, n: int) -> dict[str, int]:
         # overlapping rows must agree (they do at i = k for even n)
         assert table.setdefault(label, value) == value, (label, value)
 
+    put(BASE_EDGE[family], 0)
     if family == SUNLET:
-        put("e0", 0)
         for i in range(1, k + 1):
             for label in (f"f{i-1}", f"e{i}", f"f{n-i}", f"e{n-i}"):
                 put(label, i)
@@ -77,7 +84,6 @@ def base_table(family: str, n: int) -> dict[str, int]:
             put(f"f{k}", k + 1)
         assert len(table) == 2 * n
     else:
-        put("f0", 0)
         for label in ("e0", "g0", f"e{n-1}", f"g{n-1}"):
             put(label, 1)
         for i in range(2, k + 1):
@@ -106,73 +112,39 @@ def base_distance(family: str, n: int, label: str) -> int:
 
 
 def closed_edge_distance(family: str, n: int, a: str, b: str) -> int:
-    """Edge distance between two labeled edges by the closed-form rules.
+    """Edge distance between two labeled edges by the closed-form rules."""
+    return _rule(family, n, base_table(family, n), a, b)
 
-    The pair is first rotated/ordered into the case analysis's reference
-    frame, then resolved as a base-table value plus a correction.  The
-    result is symmetric in ``a`` and ``b`` by construction.
+
+def _rule(family: str, n: int, base: dict[str, int], a: str, b: str) -> int:
+    """Base-table value at the cyclic offset plus a correction.
+
+    A mixed pair is read with the base edge's class first: (e_i, f_j) on the
+    sunlet, (f_i, x_j) on the prism; an e/g pair stays unordered.  Every
+    correction depends on the offset ``m = |j - i|`` only through the sign of
+    ``2m - n``, so no rule branches on the parity of ``n``.  The result is
+    symmetric in ``a`` and ``b`` by construction.
     """
-    _check_family(family, n)
-    ca, ia = parse_label(a)
-    cb, ib = parse_label(b)
-    if family == SUNLET and ("g" in (ca, cb)):
+    ca, i = parse_label(a)
+    cb, j = parse_label(b)
+    if family == SUNLET and "g" in (ca, cb):
         raise InvalidLabelError("sunlet edges are labeled e* and f* only")
-    ia %= n
-    ib %= n
-    k = n // 2
-    even = n % 2 == 0
-    base = base_table(family, n)
-    m = abs(ib - ia)
-
-    if family == SUNLET:
-        if ca == cb == "e":
-            return base[f"e{m}"]
-        if ca == cb == "f":
-            if m == 0:
-                return base["f0"] - 1
-            bump = (m >= k) if even else (m > k)
-            return base[f"f{m}"] + (1 if bump else 0)
-        # mixed pair, read as (e_i, f_j)
-        if ca == "f":
-            ia, ib = ib, ia
-        i, j = ia, ib
-        m = abs(j - i)
-        if i <= j:
-            return base[f"f{m}"]
-        if even:
-            if m < k:
-                return base[f"f{m}"] - 1
-            if m == k:
-                return base[f"f{m}"]
-            return base[f"f{m}"] + 1
-        return base[f"f{m}"] + (-1 if m <= k else 1)
-
-    # prism
-    if ca == cb == "f":
-        return base[f"f{m}"]
-    if ca == cb:  # e,e or g,g behave identically
-        drop = (m < k) if even else (m <= k)
-        return base[f"e{m}"] - (1 if drop else 0)
-    if "f" in (ca, cb):
-        # read as (f_i, x_j) where x is e or g
-        if ca != "f":
-            ia, ib = ib, ia
-        i, j = ia, ib
-        m = abs(j - i)
-        if i <= j:
-            return base[f"e{m}"]
-        if even:
-            if m < k:
-                return base[f"e{m}"] - 1
-            if m == k:
-                return base[f"e{m}"]
-            return base[f"e{m}"] + 1
-        return base[f"e{m}"] + (-1 if m <= k else 1)
-    # e,g pair in either order
-    if m == 0:
-        return base["e0"] + 1
-    bump = (m >= k) if even else (m > k)
-    return base[f"e{m}"] + (1 if bump else 0)
+    i, j = i % n, j % n
+    if (ca, i) == (cb, j):
+        return 0
+    first = BASE_EDGE[family][0]
+    if cb == first != ca:
+        ca, i, cb, j = cb, j, ca, i
+    m = abs(j - i)
+    d = 2 * m - n
+    value = base[f"{cb}{m}"]
+    if ca == cb == first:  # sunlet e/e, prism f/f
+        return value
+    if ca == cb:  # sunlet f/f, prism e/e and g/g
+        return value + (d >= 0) if family == SUNLET else value - (d < 0)
+    if ca == first:  # base class against another class
+        return value + ((d > 0) - (d < 0) if i > j else 0)
+    return value + (1 if m == 0 else d >= 0)  # prism e/g
 
 
 @dataclass(frozen=True)
@@ -210,10 +182,11 @@ def verify_family(family: str, ns: Iterable[int]) -> list[Deviation]:
     for n in sorted(set(ns)):
         lg = make_family(family, n)
         dm = lg.graph.line_distance_matrix
+        base = base_table(family, n)
         labels = sorted(lg.line_label_order())
         for a, b in combinations_with_replacement(labels, 2):
             want = dm[lg.line_index(a)][lg.line_index(b)]
-            got = closed_edge_distance(family, n, a, b)
+            got = _rule(family, n, base, a, b)
             if got != want:
                 deviations.append(Deviation(family, n, (a, b), got, want))
     return deviations
@@ -357,24 +330,6 @@ class CoordinateTable:
     def mismatches(self) -> tuple[CoordinateRow, ...]:
         return tuple(r for r in self.rows if not r.matches)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "landmarks": list(self.landmarks),
-            "rows": [
-                {
-                    "group": r.group,
-                    "label": r.label,
-                    "computed": list(r.computed),
-                    "expected": list(r.expected),
-                    "match": r.matches,
-                }
-                for r in self.rows
-            ],
-            "mismatches": len(self.mismatches),
-        }
-
 
 def coordinate_table(family: str, n: int) -> CoordinateTable:
     """Recompute every edge's coordinates and diff them against the template."""
@@ -382,7 +337,7 @@ def coordinate_table(family: str, n: int) -> CoordinateTable:
     dm: DistanceMatrix = lg.graph.line_distance_matrix
     landmarks = reference_landmarks(family, n)
     lm_idx = lg.line_indices(landmarks)
-    base = lg.line_index("e0" if family == SUNLET else "f0")
+    base = lg.line_index(BASE_EDGE[family])
     expected = expected_coordinate_rows(family, n)
     seen = [label for _, label, _ in expected]
     assert sorted(seen) == sorted(lg.line_label_order())
@@ -404,11 +359,11 @@ def coordinate_table(family: str, n: int) -> CoordinateTable:
 
 
 def coordinate_rows_distinct(table: CoordinateTable) -> bool:
-    """No two computed rows are equal or differ by a constant vector."""
-    vecs = [r.computed for r in table.rows]
-    for a, b in combinations_with_replacement(range(len(vecs)), 2):
-        if a == b:
-            continue
-        if len({x - y for x, y in zip(vecs[a], vecs[b])}) == 1:
-            return False
-    return True
+    """No two computed rows are equal or differ by a constant vector.
+
+    Two rows ``(a, b, c)`` differ by a constant exactly when their shifted
+    rows ``(b - a, c - a)`` are equal, so this is the doubly resolving test
+    of :mod:`edgedrs.resolving`: the shifted map must be injective.
+    """
+    shifted = {(b - a, c - a) for a, b, c in (r.computed for r in table.rows)}
+    return len(shifted) == len(table.rows)

@@ -251,8 +251,9 @@ def graph_to_json_dict(
     return payload
 
 
-# Graph allocates per vertex, so without a cap a few bytes of JSON could
-# demand unbounded memory; dense distance matrices rule out larger graphs.
+# Graph allocates per vertex, so without a cap a few bytes of JSON or a
+# family spec could demand unbounded memory; dense distance matrices rule
+# out larger graphs.
 MAX_JSON_ORDER = 100_000
 
 
@@ -284,19 +285,24 @@ def graph_from_json_dict(
     return g, labels
 
 
+def _dot_id(text: str) -> str:
+    """``text`` as a quoted DOT identifier."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(
     g: Graph,
     name: str = "G",
     edge_labels: Mapping[Edge, str] | None = None,
 ) -> str:
     """Render the graph in DOT format, labelling edges when names are known."""
-    lines = [f'graph "{name}" {{']
+    lines = [f"graph {_dot_id(name)} {{"]
     for v in range(g.order):
         lines.append(f"  {v};")
     for e in g.edges:
         u, v = e
         if edge_labels and e in edge_labels:
-            lines.append(f'  {u} -- {v} [label="{edge_labels[e]}"];')
+            lines.append(f"  {u} -- {v} [label={_dot_id(edge_labels[e])}];")
         else:
             lines.append(f"  {u} -- {v};")
     lines.append("}")
@@ -309,17 +315,12 @@ def line_graph_to_dot(
     edge_labels: Mapping[Edge, str] | None = None,
 ) -> str:
     """Render a line graph in DOT format; vertices carry base-edge names."""
-
-    def vertex_name(i: int) -> str:
-        e = lm.base_edges[i]
-        if edge_labels and e in edge_labels:
-            return edge_labels[e]
-        return f"{e[0]}-{e[1]}"
-
-    lines = [f'graph "{name}" {{']
-    for i in range(lm.graph.order):
-        lines.append(f'  "{vertex_name(i)}";')
+    labels = edge_labels or {}
+    names = [_dot_id(labels.get(e, f"{e[0]}-{e[1]}")) for e in lm.base_edges]
+    lines = [f"graph {_dot_id(name)} {{"]
+    for v in names:
+        lines.append(f"  {v};")
     for a, b in lm.graph.edges:
-        lines.append(f'  "{vertex_name(a)}" -- "{vertex_name(b)}";')
+        lines.append(f"  {names[a]} -- {names[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

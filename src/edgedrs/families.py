@@ -35,6 +35,7 @@ from .core import (
     Edge,
     Graph,
     GraphError,
+    MAX_JSON_ORDER,
     build_graph,
     canonical_edge,
     graph_from_json_dict,
@@ -88,11 +89,13 @@ class LabeledGraph:
         return tuple(self.line_index(name) for name in labels)
 
     def label_of_line_index(self, i: int) -> str:
-        return self.label_of(self.graph.edges[i])
+        """Label of line-graph vertex ``i``, or ``u-v`` if its edge has none."""
+        u, v = e = self.graph.edges[i]
+        return self._by_edge.get(e, f"{u}-{v}")
 
     def line_label_order(self) -> tuple[str, ...]:
-        """All edge labels ordered by line-graph vertex index."""
-        return tuple(self._by_edge[e] for e in self.graph.edges)
+        """All edge names ordered by line-graph vertex index (``u-v`` if unlabeled)."""
+        return tuple(map(self.label_of_line_index, range(self.graph.size)))
 
     def to_json_dict(self) -> dict:
         return graph_to_json_dict(self.graph, self.labels)
@@ -189,7 +192,14 @@ def load_graph_file(path: str | Path) -> LabeledGraph:
     return LabeledGraph(graph, f"file:{path}", labels or {})
 
 
-_FAMILY_ARITY = {"cycle": 1, "path": 1, "sunlet": 1, "prism": 1, "gp": 2}
+# kind -> (generator, parameter count, vertices per unit of n)
+_FAMILIES = {
+    "cycle": (make_cycle, 1, 1),
+    "path": (make_path, 1, 1),
+    "sunlet": (make_sunlet, 1, 2),
+    "prism": (make_prism, 1, 2),
+    "gp": (make_generalized_petersen, 2, 2),
+}
 
 
 def from_spec(spec: str) -> LabeledGraph:
@@ -205,24 +215,22 @@ def from_spec(spec: str) -> LabeledGraph:
         if not rest:
             raise GraphSpecError("file: spec needs a path")
         return load_graph_file(rest)
-    if kind not in _FAMILY_ARITY:
+    if kind not in _FAMILIES:
         raise GraphSpecError(f"unknown graph family {kind!r}")
+    make, arity, per_n = _FAMILIES[kind]
     parts = rest.split(":")
-    if len(parts) != _FAMILY_ARITY[kind]:
-        raise GraphSpecError(f"family {kind!r} takes {_FAMILY_ARITY[kind]} parameter(s)")
+    if len(parts) != arity:
+        raise GraphSpecError(f"family {kind!r} takes {arity} parameter(s)")
     try:
         params = [int(p) for p in parts]
     except ValueError:
         raise GraphSpecError(f"non-integer parameter in spec {spec!r}") from None
+    if params[0] * per_n > MAX_JSON_ORDER:
+        raise GraphSpecError(
+            f"{spec!r} would have {params[0] * per_n} vertices, "
+            f"above the maximum of {MAX_JSON_ORDER}"
+        )
     try:
-        if kind == "cycle":
-            return make_cycle(params[0])
-        if kind == "path":
-            return make_path(params[0])
-        if kind == "sunlet":
-            return make_sunlet(params[0])
-        if kind == "prism":
-            return make_prism(params[0])
-        return make_generalized_petersen(params[0], params[1])
+        return make(*params)
     except FamilyParameterError as exc:
         raise GraphSpecError(str(exc)) from exc

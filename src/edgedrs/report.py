@@ -20,6 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .closed_form import (
+    BASE_EDGE,
     PRISM,
     SUNLET,
     base_table,
@@ -53,7 +54,7 @@ def partition_check(family: str, n: int) -> CheckResult:
     """Base-table fibers must equal the BFS distance partition."""
     lg = make_family(family, n)
     dm = lg.graph.line_distance_matrix
-    base = lg.line_index("e0" if family == SUNLET else "f0")
+    base = lg.line_index(BASE_EDGE[family])
     actual: dict[int, set[str]] = {}
     for label in lg.line_label_order():
         actual.setdefault(dm[base][lg.line_index(label)], set()).add(label)

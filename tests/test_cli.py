@@ -3,6 +3,7 @@ import json
 import pytest
 
 from edgedrs.cli import run
+from edgedrs.families import GraphSpecError, from_spec
 import edgedrs.cli as cli
 
 
@@ -200,3 +201,39 @@ def test_malformed_labels_exit_one_with_one_line(tmp_path, capsys, labels):
 def test_non_positive_budget_is_an_argument_error(capsys, argv, budget):
     assert run([*argv, "--budget", budget]) == 2
     assert "--budget" in capsys.readouterr().err
+
+
+def test_partial_labels_fall_back_to_endpoint_names(tmp_path, capsys):
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({
+        "order": 4,
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+        "labels": {"a": [0, 1], "b": [2, 3]},
+    }))
+    spec = f"file:{path}"
+    names = ["a", "0-3", "1-2", "b"]
+    code, report = run_json(capsys, ["distances", "--graph", spec, "--mode", "edge", "--json"])
+    assert code == 0
+    assert report["elements"] == names
+    assert run(["distances", "--graph", spec, "--mode", "edge"]) == 0
+    assert capsys.readouterr().out.split("\n")[0].split() == names
+    code, report = run_json(
+        capsys, ["psi", "--graph", spec, "--mode", "edge", "--json", "--no-timing"]
+    )
+    assert code == 0
+    assert set(report["result"]["set"]) <= set(names)
+    with pytest.raises(KeyError):
+        from_spec(spec).label_of((0, 3))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cycle:100001", "path:100001", "sunlet:50001", "prism:50001", "gp:50001:2",
+     "sunlet:10000000"],
+)
+def test_family_specs_above_the_order_cap_are_argument_errors(capsys, spec):
+    with pytest.raises(GraphSpecError, match="maximum of 100000"):
+        from_spec(spec)
+    assert run(["generate", "--graph", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edge-drs: argument error: ") and err.count("\n") == 1

@@ -1,8 +1,12 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgedrs import (
+    CoordinateRow,
+    CoordinateTable,
     FamilyParameterError,
     InvalidLabelError,
     base_distance,
@@ -112,6 +116,42 @@ def test_symmetry(family, ns):
             )
 
 
+@st.composite
+def label_pairs(draw):
+    """A family, a size, and label pairs with indices below 3n (aliases mod n).
+
+    The cyclic offset of a pair is drawn so that the boundary offsets
+    around n/2, where the rule's corrections change sign, come up often.
+    """
+    family = draw(st.sampled_from(["sunlet", "prism"]))
+    n = draw(st.integers(4 if family == "sunlet" else 6, 60))
+    cls = st.sampled_from("ef" if family == "sunlet" else "efg")
+    offset = st.sampled_from([0, 1, n // 2 - 1, n // 2, (n + 1) // 2, n - 1])
+    pairs = []
+    for _ in range(draw(st.integers(1, 20))):
+        i = draw(st.integers(0, n - 1))
+        j = (i + draw(offset | st.integers(0, n - 1))) % n
+        qa, qb = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        pairs.append((f"{draw(cls)}{i + qa * n}", f"{draw(cls)}{j + qb * n}"))
+    return family, n, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_pairs())
+def test_closed_form_matches_bfs_at_any_index(case):
+    family, n, pairs = case
+    lg = closed_form.make_family(family, n)
+    dm = lg.graph.line_distance_matrix
+
+    def index(label):
+        return lg.line_index(f"{label[0]}{int(label[1:]) % n}")
+
+    for a, b in pairs:
+        want = dm[index(a)][index(b)]
+        assert closed_edge_distance(family, n, a, b) == want, (a, b)
+        assert closed_edge_distance(family, n, b, a) == want, (b, a)
+
+
 def test_verify_family_sunlet_clean():
     assert verify_family("sunlet", range(4, 21)) == []
 
@@ -176,3 +216,16 @@ def test_templates_match_and_rows_distinct(family, rng):
         table = coordinate_table(family, n)
         assert table.mismatches == (), (family, n)
         assert coordinate_rows_distinct(table), (family, n)
+
+
+def _table(*vectors):
+    rows = tuple(CoordinateRow(0, f"e{i}", v, v) for i, v in enumerate(vectors))
+    return CoordinateTable("sunlet", 4, ("e0", "e1", "e2"), rows)
+
+
+@pytest.mark.parametrize(
+    "last,distinct",
+    [((1, 2, 3), False), ((3, 4, 5), False), ((-1, 0, 1), False), ((1, 2, 4), True)],
+)
+def test_coordinate_rows_distinct_rejects_equal_and_shifted_rows(last, distinct):
+    assert coordinate_rows_distinct(_table((1, 2, 3), (0, 0, 0), last)) is distinct

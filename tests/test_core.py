@@ -283,3 +283,15 @@ def test_dot_export():
     assert '0 -- 1 [label="c0"];' in dot
     ldot = line_graph_to_dot(s.graph.line_map, "L", {e: n for n, e in s.labels.items()})
     assert '"c0" -- "c1";' in ldot
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    g = Graph(3, [(0, 1), (1, 2)])
+    names = {(0, 1): 'a"x', (1, 2): "b\\"}
+    dot = graph_to_dot(g, 'file:"g".json', names).splitlines()
+    assert dot[0] == r'graph "file:\"g\".json" {'
+    assert dot[4:6] == [r'  0 -- 1 [label="a\"x"];', r'  1 -- 2 [label="b\\"];']
+    ldot = line_graph_to_dot(g.line_map, 'L("g")', names).splitlines()
+    assert ldot == [
+        r'graph "L(\"g\")" {', r'  "a\"x";', r'  "b\\";', r'  "a\"x" -- "b\\";', "}",
+    ]
