@@ -113,11 +113,13 @@ def base_distance(family: str, n: int, label: str) -> int:
 
 def closed_edge_distance(family: str, n: int, a: str, b: str) -> int:
     """Edge distance between two labeled edges by the closed-form rules."""
-    return _rule(family, n, base_table(family, n), a, b)
+    return _rule(family, n, base_table(family, n), parse_label(a), parse_label(b))
 
 
-def _rule(family: str, n: int, base: dict[str, int], a: str, b: str) -> int:
-    """Base-table value at the cyclic offset plus a correction.
+def _rule(
+    family: str, n: int, base: dict[str, int], a: tuple[str, int], b: tuple[str, int]
+) -> int:
+    """Base-table value at the cyclic offset plus a correction, for parsed labels.
 
     A mixed pair is read with the base edge's class first: (e_i, f_j) on the
     sunlet, (f_i, x_j) on the prism; an e/g pair stays unordered.  Every
@@ -125,8 +127,8 @@ def _rule(family: str, n: int, base: dict[str, int], a: str, b: str) -> int:
     ``2m - n``, so no rule branches on the parity of ``n``.  The result is
     symmetric in ``a`` and ``b`` by construction.
     """
-    ca, i = parse_label(a)
-    cb, j = parse_label(b)
+    ca, i = a
+    cb, j = b
     if family == SUNLET and "g" in (ca, cb):
         raise InvalidLabelError("sunlet edges are labeled e* and f* only")
     i, j = i % n, j % n
@@ -183,10 +185,14 @@ def verify_family(family: str, ns: Iterable[int]) -> list[Deviation]:
         lg = make_family(family, n)
         dm = lg.graph.line_distance_matrix
         base = base_table(family, n)
-        labels = sorted(lg.line_label_order())
-        for a, b in combinations_with_replacement(labels, 2):
-            want = dm[lg.line_index(a)][lg.line_index(b)]
-            got = _rule(family, n, base, a, b)
+        # each label's index and parsed form, once per n rather than per pair
+        entries = [
+            (label, lg.line_index(label), parse_label(label))
+            for label in sorted(lg.line_label_order())
+        ]
+        for (a, ia, pa), (b, ib, pb) in combinations_with_replacement(entries, 2):
+            want = dm[ia][ib]
+            got = _rule(family, n, base, pa, pb)
             if got != want:
                 deviations.append(Deviation(family, n, (a, b), got, want))
     return deviations

@@ -66,6 +66,15 @@ class LabeledGraph:
         by_edge = {e: name for name, e in self.labels.items()}
         if self.labels and len(by_edge) != len(self.labels):
             raise GraphError("labels must map one name per edge")
+        if self.labels and len(by_edge) < self.graph.size:
+            # an unlabeled edge is named ``u-v``; no label may take that name
+            for e in self.graph.edges:
+                name = f"{e[0]}-{e[1]}"
+                if e not in by_edge and name in self.labels:
+                    raise GraphError(
+                        f"label {name!r} names edge {self.labels[name]} but is "
+                        f"also the name of the unlabeled edge {e}"
+                    )
         object.__setattr__(self, "_by_edge", by_edge)
 
     def edge_of(self, label: str) -> Edge:

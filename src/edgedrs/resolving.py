@@ -16,14 +16,31 @@ differences equal the one at ``s1``.  The shifted column of ``s1`` is all
 zeros, so the doubly resolving test is the resolving test run on the
 shifted columns of ``S[1:]``.  A failing set's witness is the
 lexicographically first pair of elements with the same image.
+
+The exact search visits the k-subsets in lexicographic order as a
+depth-first walk over prefixes.  A prefix carries the non-singleton classes
+of its coordinate map; appending landmark ``x`` refines every class by
+column ``x``, so a prefix's work is shared by all subsets below it, and a
+full subset passes when its last column is injective on every class left.
+A column takes at most ``spread`` values on a class: ``diam + 1`` for
+resolving, ``2 diam + 1`` for the shifted columns of doubly resolving.  So
+``r`` more landmarks split a class into at most ``spread ** r`` parts, and
+a prefix with a larger class has no passing subset below it.  Such a prefix
+is skipped and its ``C(n - x - 1, r)`` subsets (``x`` its last landmark) are
+counted by arithmetic, which keeps ``subsets_examined`` and the level at
+which the budget runs out what a subset-by-subset scan would give.  Doubly
+resolving runs the walk once per first landmark ``s1``, over the columns
+shifted by ``s1``, from the one class of all elements.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Literal, Sequence
+from math import comb
+from operator import add, itemgetter, sub
+from typing import Literal, Sequence
 
 from .core import DistanceMatrix, Graph
 from .families import LabeledGraph
@@ -117,7 +134,7 @@ def _shifted_columns(
     The matrix is symmetric, so row ``x`` doubles as column ``x``.
     """
     base = dm.rows[first]
-    return [tuple(a - b for a, b in zip(dm.rows[x], base)) for x in landmarks]
+    return [tuple(map(sub, dm.rows[x], base)) for x in landmarks]
 
 
 def _collisions(members: Sequence[int], keys) -> list[list[int]]:
@@ -168,30 +185,112 @@ def is_doubly_resolving(dm: DistanceMatrix, landmarks: Sequence[int]) -> Resolve
 # Exact search
 # ---------------------------------------------------------------------------
 
-def _resolving_tester(dm: DistanceMatrix) -> Callable[[tuple[int, ...]], bool]:
-    rows = dm.rows
-    n = dm.n
+class _Walk:
+    """Depth-first walk over the k-subsets of one level, in lexicographic order.
 
-    def passes(subset: tuple[int, ...]) -> bool:
-        return len(set(zip(*(rows[x] for x in subset)))) == n
+    A node is a prefix of landmarks.  It carries the elements of the
+    non-singleton classes of the coordinate map over the prefix
+    (``members``) and each one's class as a code: its coordinate vector
+    read as a number in base ``spread``.  Every class has two or more
+    members, so ``itemgetter(*members)`` returns a tuple unless there are
+    none.
+    """
 
-    return passes
+    def __init__(self, n: int, spread: int, budget: int, all_optima: bool, k: int,
+                 examined: int):
+        self.n = n
+        self.spread = spread
+        self.budget = budget
+        self.all_optima = all_optima
+        self.k = k
+        self.examined = examined
+        self.hits: list[tuple[int, ...]] = []
 
+    def count(self, leaves: int) -> None:
+        self.examined += leaves
+        if self.examined > self.budget:
+            raise BudgetExceededError(self.budget, self.k)
 
-def _doubly_resolving_tester(dm: DistanceMatrix) -> Callable[[tuple[int, ...]], bool]:
-    # Lexicographic enumeration keeps the first landmark fixed over long
-    # runs, so only its shifted columns are cached: O(m^2) memory.
-    n = dm.n
-    first, columns = -1, []
+    def descend(
+        self,
+        columns: Sequence[Sequence[int]],
+        members: list[int],
+        codes: list[int],
+        start: int,
+        r: int,
+        prefix: tuple[int, ...],
+    ) -> bool:
+        """Visit ``prefix`` extended by ``r`` landmarks from ``start`` on.
 
-    def passes(subset: tuple[int, ...]) -> bool:
-        nonlocal first, columns
-        if subset[0] != first:
-            first = subset[0]
-            columns = _shifted_columns(dm, first, range(n))
-        return len(set(zip(*(columns[x] for x in subset[1:])))) == n
+        Returns True when the walk should stop (a hit without ``all_optima``).
+        The walk keeps its own stack, one frame per landmark position, so
+        its depth is not bounded by the interpreter's recursion limit.
+        """
+        if r == 1:
+            return self.leaves(columns, members, codes, start, prefix)
+        n = self.n
+        stack = [self.frame(members, codes, start, r, prefix)]
+        while stack:
+            candidates, pick, scaled, members, r, prefix = stack[-1]
+            bound = self.spread ** (r - 1)
+            for x in candidates:  # resumes where the frame's last child left off
+                refined = list(map(add, scaled, pick(columns[x])))
+                sizes = Counter(refined)
+                if refined and max(sizes.values()) > bound:
+                    # no completion can split the largest class: count its leaves
+                    self.count(comb(n - x - 1, r - 1))
+                    continue
+                kept = [i for i, c in enumerate(refined) if sizes[c] > 1]
+                members_x = [members[i] for i in kept]
+                codes_x = [refined[i] for i in kept]
+                if r == 2:
+                    if self.leaves(columns, members_x, codes_x, x + 1, prefix + (x,)):
+                        return True
+                else:
+                    child = self.frame(members_x, codes_x, x + 1, r - 1, prefix + (x,))
+                    stack.append(child)
+                    break
+            else:
+                stack.pop()
+        return False
 
-    return passes
+    def frame(
+        self, members: list[int], codes: list[int], start: int, r: int,
+        prefix: tuple[int, ...],
+    ) -> tuple:
+        """A node on the stack: its untried next landmarks and its classes."""
+        pick = itemgetter(*members) if members else lambda column: ()
+        scaled = [c * self.spread for c in codes]  # a child adds its column value
+        return iter(range(start, self.n - r + 1)), pick, scaled, members, r, prefix
+
+    def leaves(
+        self,
+        columns: Sequence[Sequence[int]],
+        members: list[int],
+        codes: list[int],
+        start: int,
+        prefix: tuple[int, ...],
+    ) -> bool:
+        """Test ``prefix + (x,)`` for each ``x >= start``: is column ``x``
+        injective on every class?  Largest classes first, as they fail most."""
+        checks = [
+            (itemgetter(*group), len(group))
+            for group in sorted(_collisions(members, codes), key=len, reverse=True)
+        ]
+        counted = start
+        for x in range(start, self.n):
+            column = columns[x]
+            for get, size in checks:
+                if len(set(get(column))) != size:
+                    break
+            else:
+                self.count(x + 1 - counted)
+                counted = x + 1
+                self.hits.append(prefix + (x,))
+                if not self.all_optima:
+                    return True
+        self.count(self.n - counted)
+        return False
 
 
 def min_cardinality_search(
@@ -204,37 +303,60 @@ def min_cardinality_search(
 ) -> SearchResult:
     """Smallest landmark set passing the predicate, by level-wise enumeration.
 
-    Level ``k`` enumerates all k-subsets in lexicographic order, so the
+    Level ``k`` visits all k-subsets in lexicographic order, so the
     returned set is the lexicographically first optimum and no smaller set
-    passes.  ``subsets_examined`` counts predicate evaluations across all
-    levels; crossing ``budget`` raises :class:`BudgetExceededError`.
+    passes.  ``subsets_examined`` counts the k-subsets visited across all
+    levels, those of pruned subtrees included; crossing ``budget`` raises
+    :class:`BudgetExceededError` at the level where the one-by-one count
+    would have crossed it.
+
+    The visit is a depth-first walk over prefixes (see the module
+    docstring): a node refines its parent's classes by the column of its
+    last landmark ``x``, and a leaf passes when its column is injective on
+    every class left.  A node with ``r`` landmarks left whose largest class
+    has more than ``spread ** r`` elements has no passing leaf; it is pruned
+    and adds its ``C(n - x - 1, r)`` leaves to the count, with the budget
+    checked on that jump as on every leaf.  A whole level is counted this
+    way, as ``C(n, k)``, when even the full element set is too large for
+    its free landmarks.  For doubly resolving the walk runs once per first
+    landmark ``s1``, over the columns shifted by ``s1``, from the one class
+    of all elements.
     """
     if predicate == RESOLVING:
         minimum = 1
-        passes = _resolving_tester(dm)
     elif predicate == DOUBLY_RESOLVING:
         minimum = 2
-        passes = _doubly_resolving_tester(dm)
     else:
         raise ValueError(f"unknown predicate {predicate!r}")
+    n = dm.n
     k0 = max(minimum, start_k if start_k is not None else minimum)
     started = time.perf_counter()
+    # A column takes at most ``width + 1`` values, a shifted one ``2 width + 1``.
+    width = max(map(max, dm.rows)) - min(map(min, dm.rows)) if n else 0
+    spread = width + 1 if minimum == 1 else 2 * width + 1
+    everything = list(range(n)) if n > 1 else []  # the one class, unless a singleton
+    same = [0] * len(everything)
     examined = 0
-    for k in range(k0, dm.n + 1):
-        hits: list[tuple[int, ...]] = []
-        for subset in combinations(range(dm.n), k):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(budget, k)
-            if passes(subset):
-                if not all_optima:
-                    return SearchResult(
-                        k, subset, None, examined, time.perf_counter() - started
-                    )
-                hits.append(subset)
-        if hits:
+    for k in range(k0, n + 1):
+        walk = _Walk(n, spread, budget, all_optima, k, examined)
+        if n > spread ** (k - minimum + 1):  # the landmarks that refine are too few
+            walk.count(comb(n, k))
+        elif minimum == 1:
+            walk.descend(dm.rows, everything, same, 0, k, ())
+        else:
+            for s1 in range(n - k + 1):
+                # columns up to s1 are never read under s1
+                columns = [()] * (s1 + 1) + _shifted_columns(dm, s1, range(s1 + 1, n))
+                if walk.descend(columns, everything, same, s1 + 1, k - 1, (s1,)):
+                    break
+        examined = walk.examined
+        if walk.hits:
             return SearchResult(
-                k, hits[0], tuple(hits), examined, time.perf_counter() - started
+                k,
+                walk.hits[0],
+                tuple(walk.hits) if all_optima else None,
+                examined,
+                time.perf_counter() - started,
             )
     raise ValueError(
         f"no {predicate} set exists; the matrix has only {dm.n} element(s)"

@@ -4,8 +4,9 @@ The oracles here deliberately use different algorithms and enumeration
 orders than the library so that agreement is meaningful: frontier-set BFS
 instead of queue BFS, pairwise endpoint tests instead of incidence lists,
 descending bitmask powerset scans instead of level-wise lexicographic
-search, landmark-pair scans instead of injectivity of a shifted map, and an
-explicit pending-pairs dict instead of class partitions for the greedy.
+search, landmark-pair scans instead of injectivity of a shifted map, an
+explicit pending-pairs dict instead of class partitions for the greedy, and
+a subset-by-subset ``combinations`` loop instead of the pruned prefix walk.
 """
 
 from __future__ import annotations
@@ -123,6 +124,46 @@ def first_passing_subset(dm, passes, minimum: int):
     return None
 
 
+def combinations_search(dm, minimum, start_k=None, budget=10**8, all_optima=False):
+    """The exact search as a plain ``itertools.combinations`` loop, level by level.
+
+    ``minimum`` is 1 for resolving and 2 for doubly resolving.  Every subset
+    is tested one by one: the budget check comes before each test, and with
+    ``all_optima`` the whole level is scanned.  Returns ``("found",
+    cardinality, best_set, all_optima or None, subsets_examined)``,
+    ``("budget", cardinality)``, or None when no set passes.  The per-subset
+    test is injectivity of the (shifted) coordinate map, which the pair-scan
+    oracle above checks.
+    """
+    n = dm.n
+    shifted = {}  # first landmark -> shifted columns of every element
+
+    def passes(subset):
+        if minimum == 1:
+            return len(set(zip(*(dm.rows[x] for x in subset)))) == n
+        s1 = subset[0]
+        if s1 not in shifted:
+            shifted[s1] = [
+                tuple(d - d1 for d, d1 in zip(dm.rows[x], dm.rows[s1])) for x in range(n)
+            ]
+        return len(set(zip(*(shifted[s1][x] for x in subset[1:])))) == n
+
+    examined = 0
+    for k in range(max(minimum, start_k or minimum), n + 1):
+        hits = []
+        for subset in combinations(range(n), k):
+            examined += 1
+            if examined > budget:
+                return ("budget", k)
+            if passes(subset):
+                if not all_optima:
+                    return ("found", k, subset, None, examined)
+                hits.append(subset)
+        if hits:
+            return ("found", k, hits[0], tuple(hits), examined)
+    return None
+
+
 def pending_pairs_greedy(dm) -> tuple[int, ...]:
     """Greedy doubly resolving set over an explicit dict of unresolved pairs.
 
@@ -192,5 +233,15 @@ def search_matrices(draw, max_order=7, max_elements=10):
     """Distance matrix of a random connected graph or of its line graph."""
     g = draw(connected_graphs(max_order=max_order))
     if g.size >= 2 and g.size <= max_elements and draw(st.booleans()):
+        return g.line_distance_matrix
+    return g.distance_matrix
+
+
+@st.composite
+def pruned_search_matrices(draw):
+    """Line-graph matrices with up to 24 elements, mostly, where one column
+    splits a class into few parts, so that the search prunes subtrees."""
+    g = draw(connected_graphs(min_order=3, max_order=13))
+    if g.size <= 24 and draw(st.integers(0, 3)):
         return g.line_distance_matrix
     return g.distance_matrix

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +228,49 @@ def test_partial_labels_fall_back_to_endpoint_names(tmp_path, capsys):
     assert set(report["result"]["set"]) <= set(names)
     with pytest.raises(KeyError):
         from_spec(spec).label_of((0, 3))
+
+
+@pytest.mark.parametrize(
+    "labels, ok",
+    [
+        ({"0-3": [0, 1]}, False),  # 0-3 would name both (0, 1) and (0, 3)
+        ({"0-3": [0, 3]}, True),
+        ({"0-3": [0, 1], "x": [0, 3]}, True),
+    ],
+)
+def test_labels_never_shadow_an_endpoint_name(tmp_path, capsys, labels, ok):
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({
+        "order": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "labels": labels,
+    }))
+    argv = ["distances", "--graph", f"file:{path}", "--mode", "edge", "--json"]
+    if ok:
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert len(set(report["elements"])) == 4
+    else:
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("edge-drs: error: ") and err.count("\n") == 1
+        assert "0-3" in err
+
+
+def test_closed_stdout_pipe_is_one_error_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(
+        [sys.executable, "-m", "edgedrs.cli", "distances", "--graph", "sunlet:200",
+         "--mode", "edge", "--no-timing"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        proc.stdout.read(10)  # the reader stops early and closes the pipe
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert err.startswith("edge-drs: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgedrs import (
     DOUBLY_RESOLVING,
     RESOLVING,
     BudgetExceededError,
+    DistanceMatrix,
     build_graph,
     doubly_resolves,
     edge_metric_dimension,
@@ -30,6 +32,7 @@ from edgedrs import (
 
 import edgedrs.resolving as resolving
 from conftest import (
+    combinations_search,
     connected_graphs,
     first_constant_pair,
     first_passing_subset,
@@ -37,6 +40,7 @@ from conftest import (
     plain_doubly_resolves,
     plain_resolves,
     powerset_min_size,
+    pruned_search_matrices,
     random_connected_graph,
     search_matrices,
 )
@@ -442,3 +446,76 @@ def test_search_matches_first_passing_subset_oracle(dm):
 @given(search_matrices())
 def test_greedy_matches_pending_pairs_oracle(dm):
     assert greedy_doubly_resolving(dm) == pending_pairs_greedy(dm)
+
+
+# ---------------------------------------------------------------------------
+# the pruned prefix walk against the subset-by-subset loop
+# ---------------------------------------------------------------------------
+
+def search_outcome(dm, predicate, **kwargs):
+    """:func:`min_cardinality_search` in the form of ``combinations_search``."""
+    try:
+        res = min_cardinality_search(dm, predicate, **kwargs)
+    except BudgetExceededError as exc:
+        return ("budget", exc.cardinality)
+    except ValueError:
+        return None
+    return ("found", res.cardinality, res.best_set, res.all_optima, res.subsets_examined)
+
+
+ORACLE_BUDGET = 6000  # keeps each oracle run to a few thousand subsets
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pruned_search_matrices(),
+    st.sampled_from([(RESOLVING, 1), (DOUBLY_RESOLVING, 2)]),
+    st.booleans(),
+    st.sampled_from([None, 2, 3]),
+)
+# the bound is tight: on K3 a class of spread = 2 elements is split by one column
+@example(K3.distance_matrix, (RESOLVING, 1), False, None)
+# a level above the element count: no set at all
+@example(make_path(3).graph.line_distance_matrix, (DOUBLY_RESOLVING, 2), False, 3)
+def test_search_matches_combinations_oracle(dm, predicate_minimum, all_optima, start_k):
+    predicate, minimum = predicate_minimum
+    if dm.n < minimum:
+        return
+    options = {"start_k": start_k, "all_optima": all_optima}
+    expected = combinations_search(dm, minimum, budget=ORACLE_BUDGET, **options)
+    assert search_outcome(dm, predicate, budget=ORACLE_BUDGET, **options) == expected
+    if expected is None or expected[0] == "budget":
+        return
+    # budgets around the answer's position: the same answer, or a raise at
+    # the same cardinality as the subset-by-subset loop
+    position = expected[-1]
+    for budget in {1, position // 2, position - 1, position, position + 1}:
+        if budget >= 1:
+            assert search_outcome(
+                dm, predicate, budget=budget, **options
+            ) == combinations_search(dm, minimum, budget=budget, **options)
+
+
+def test_pruned_jump_that_crosses_the_budget_raises(monkeypatch):
+    # On a star every column splits the leaves into at most diam + 1 = 3
+    # classes.  Level 1 is pruned whole (6 elements > 3); at level 2 the
+    # centre's column leaves the 5 outer vertices in one class (> 3), so the
+    # five subsets (0, x) are one jump: 6 + 5 = 11 > 8 crosses the budget.
+    dm = build_graph(6, [(0, i) for i in range(1, 6)]).distance_matrix
+
+    def no_leaf_is_tested(*args):
+        raise AssertionError("the budget should run out on a pruned jump")
+
+    monkeypatch.setattr(resolving._Walk, "leaves", no_leaf_is_tested)
+    with pytest.raises(BudgetExceededError) as info:
+        min_cardinality_search(dm, RESOLVING, budget=8)
+    assert info.value.cardinality == 2
+    assert combinations_search(dm, 1, budget=8) == ("budget", 2)
+
+
+def test_a_level_deeper_than_the_recursion_limit():
+    # the walk keeps its own stack, one frame per landmark of the level
+    n = sys.getrecursionlimit() + 100
+    dm = DistanceMatrix([[abs(i - j) for j in range(n)] for i in range(n)])
+    res = min_cardinality_search(dm, RESOLVING, start_k=n)
+    assert (res.best_set, res.subsets_examined) == (tuple(range(n)), 1)
