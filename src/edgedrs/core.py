@@ -3,18 +3,17 @@
 A :class:`Graph` is immutable once built. The all-pairs distance matrix of
 the graph and of its line graph are computed lazily and cached on the graph
 object, so every metric query against the same instance reuses one table.
-Distances are exact small integers stored densely; every graph handled here
-has at most a few hundred line-graph vertices, so O(1) lookups beat any
-cleverer storage.
+Distances are exact small integers stored densely: O(1) lookups beat any
+cleverer storage, and a matrix side is capped at :data:`MAX_MATRIX_SIDE`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 
@@ -55,12 +54,19 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 class DistanceMatrix:
-    """Dense symmetric all-pairs shortest-path table with integer entries."""
+    """Dense symmetric all-pairs shortest-path table with integer entries.
 
-    __slots__ = ("rows",)
+    ``automorphisms``, if given, returns element permutations that preserve
+    every distance; it is called on first use.
+    """
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
+    __slots__ = ("rows", "_automorphisms", "_representatives")
+
+    def __init__(self, rows: Iterable[Iterable[int]],
+                 automorphisms: Callable[[], Iterable[Sequence[int]]] | None = None):
         self.rows = tuple(tuple(row) for row in rows)
+        self._automorphisms = automorphisms
+        self._representatives: tuple[int, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -69,20 +75,25 @@ class DistanceMatrix:
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DistanceMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n})"
+
+    def orbit_representatives(self) -> tuple[int, ...]:
+        """The least element of each orbit of the automorphisms, ascending."""
+        if self._representatives is None:
+            parent = list(range(self.n))  # union-find, each root its orbit's least
+
+            def root(x: int) -> int:
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                return x
+
+            for p in self._automorphisms() if self._automorphisms else ():
+                for x, y in enumerate(p):
+                    a, b = sorted((root(x), root(y)))
+                    parent[b] = a
+            self._representatives = tuple(x for x in range(self.n) if parent[x] == x)
+        return self._representatives
 
 
 def _bfs_row(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
@@ -99,15 +110,37 @@ def _bfs_row(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
     return dist
 
 
+# Every search and ``distances`` builds a dense matrix of at most this side:
+# about 680 MB, if the 169 MB measured at 2,000 scales with the square.
+MAX_MATRIX_SIDE = 4_000
+
+
+def _checked_automorphisms(
+    order: int, edge_index: Mapping[Edge, int], automorphisms: Sequence[Sequence[int]]
+) -> Sequence[Sequence[int]]:
+    """``automorphisms``, each checked in O(|E|) to permute the vertices and
+    map every edge (key of ``edge_index``) to an edge, or :class:`GraphError`.
+    Such a map preserves distances and induces an automorphism of L(G)."""
+    for p in automorphisms:
+        if sorted(p) != list(range(order)):
+            raise GraphError(f"an automorphism must permute the {order} vertices")
+        for u, v in edge_index:
+            if canonical_edge(p[u], p[v]) not in edge_index:
+                raise GraphError(f"a vertex permutation maps edge {(u, v)} to a non-edge")
+    return automorphisms
+
+
 class Graph:
     """Simple, undirected graph with a canonical sorted edge list.
 
     Edges are canonicalized as (min endpoint, max endpoint) and ordered
     lexicographically; line-graph vertex ``i`` always means ``edges[i]``,
-    which keeps search output reproducible across runs.
+    which keeps search output reproducible across runs.  ``automorphisms``
+    are vertex permutations, checked before the search first uses them.
     """
 
-    def __init__(self, order: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, order: int, edges: Iterable[tuple[int, int]],
+                 automorphisms: Iterable[Sequence[int]] = ()):
         if order < 1:
             raise VertexOutOfRangeError("a graph needs at least one vertex")
         seen: set[Edge] = set()
@@ -130,6 +163,7 @@ class Graph:
             tuple(sorted(nbrs)) for nbrs in adj
         )
         self._edge_index: dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
+        self.automorphisms: tuple[tuple[int, ...], ...] = tuple(map(tuple, automorphisms))
 
     @property
     def size(self) -> int:
@@ -137,12 +171,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self._edge_index
 
     def edge_index(self, edge: tuple[int, int]) -> int:
         """Index of an edge in the canonical order (= its line-graph vertex)."""
@@ -159,13 +187,18 @@ class Graph:
     @cached_property
     def distance_matrix(self) -> DistanceMatrix:
         """BFS from every vertex; raises ``DisconnectedError`` if unreachable."""
+        if self.order > MAX_MATRIX_SIDE:
+            raise GraphError(f"a distance matrix over {self.order} elements "
+                             f"exceeds the maximum of {MAX_MATRIX_SIDE}")
         rows = []
         for v in range(self.order):
             row = _bfs_row(self.adjacency, v)
             if any(d < 0 for d in row):
                 raise DisconnectedError("graph is disconnected")
             rows.append(row)
-        return DistanceMatrix(rows)
+        # no reference back to the graph, so no cycle delays freeing it
+        return DistanceMatrix(rows, partial(
+            _checked_automorphisms, self.order, self._edge_index, self.automorphisms))
 
     @cached_property
     def line_map(self) -> "LineGraphMap":
@@ -225,7 +258,10 @@ def line_graph(g: Graph) -> LineGraphMap:
     for ids in incident:
         # edge ids in `ids` are ascending, so combinations are canonical
         line_edges.update(combinations(ids, 2))
-    return LineGraphMap(g.edges, Graph(len(g.edges), sorted(line_edges)))
+    index = g._edge_index
+    induced = [[index[canonical_edge(p[u], p[v])] for u, v in g.edges]
+               for p in _checked_automorphisms(g.order, index, g.automorphisms)]
+    return LineGraphMap(g.edges, Graph(len(g.edges), sorted(line_edges), induced))
 
 
 def edge_distance(g: Graph, f: tuple[int, int], h: tuple[int, int]) -> int:

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import (
-    DisconnectedError,
     Edge,
     Graph,
     GraphError,
@@ -122,11 +121,16 @@ def _labeled(graph: Graph, family: str, labels: dict[str, Edge]) -> LabeledGraph
     return LabeledGraph(graph, family, labels)
 
 
+def _rotation(n: int, rings: int) -> tuple[int, ...]:
+    """The automorphism ``v -> v + 1 mod n`` on each ring of ``n`` vertices."""
+    return tuple(ring + (i + 1) % n for ring in range(0, rings * n, n) for i in range(n))
+
+
 def make_cycle(n: int) -> LabeledGraph:
     if n < 3:
         raise FamilyParameterError("cycle needs n >= 3")
     labels = {f"c{i}": canonical_edge(i, (i + 1) % n) for i in range(n)}
-    return _labeled(Graph(n, labels.values()), f"cycle:{n}", labels)
+    return _labeled(Graph(n, labels.values(), [_rotation(n, 1)]), f"cycle:{n}", labels)
 
 
 def make_path(n: int) -> LabeledGraph:
@@ -144,7 +148,7 @@ def make_sunlet(n: int) -> LabeledGraph:
     for i in range(n):
         labels[f"e{i}"] = canonical_edge((i - 1) % n, i)
         labels[f"f{i}"] = (i, n + i)
-    return _labeled(Graph(2 * n, labels.values()), f"sunlet:{n}", labels)
+    return _labeled(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"sunlet:{n}", labels)
 
 
 def make_prism(n: int) -> LabeledGraph:
@@ -156,7 +160,7 @@ def make_prism(n: int) -> LabeledGraph:
         labels[f"e{i}"] = canonical_edge(i, (i + 1) % n)
         labels[f"f{i}"] = (i, n + i)
         labels[f"g{i}"] = canonical_edge(n + i, n + (i + 1) % n)
-    return _labeled(Graph(2 * n, labels.values()), f"prism:{n}", labels)
+    return _labeled(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"prism:{n}", labels)
 
 
 def make_generalized_petersen(n: int, k: int) -> LabeledGraph:
@@ -172,25 +176,7 @@ def make_generalized_petersen(n: int, k: int) -> LabeledGraph:
         labels[f"g{i}"] = canonical_edge(i, (i + 1) % n)
         labels[f"f{i}"] = (i, n + i)
         labels[f"e{i}"] = canonical_edge(n + i, n + (i + k) % n)
-    return _labeled(Graph(2 * n, labels.values()), f"gp:{n}:{k}", labels)
-
-
-def cartesian_product(a: Graph, b: Graph) -> Graph:
-    """Cartesian product: adjacent iff equal in one factor, adjacent in the other."""
-    if not a.is_connected or not b.is_connected:
-        raise DisconnectedError("cartesian product factors must be connected")
-
-    def idx(i: int, j: int) -> int:
-        return i * b.order + j
-
-    edges: list[Edge] = []
-    for i in range(a.order):
-        for u, v in b.edges:
-            edges.append((idx(i, u), idx(i, v)))
-    for u, v in a.edges:
-        for j in range(b.order):
-            edges.append((idx(u, j), idx(v, j)))
-    return Graph(a.order * b.order, edges)
+    return _labeled(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"gp:{n}:{k}", labels)
 
 
 def load_graph_file(path: str | Path) -> LabeledGraph:

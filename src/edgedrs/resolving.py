@@ -28,9 +28,18 @@ resolving, ``2 diam + 1`` for the shifted columns of doubly resolving.  So
 a prefix with a larger class has no passing subset below it.  Such a prefix
 is skipped and its ``C(n - x - 1, r)`` subsets (``x`` its last landmark) are
 counted by arithmetic, which keeps ``subsets_examined`` and the level at
-which the budget runs out what a subset-by-subset scan would give.  Doubly
-resolving runs the walk once per first landmark ``s1``, over the columns
-shifted by ``s1``, from the one class of all elements.
+which the budget runs out what a subset-by-subset scan would give.  The
+walk runs once per first landmark ``s1`` (for doubly resolving over the
+columns shifted by ``s1``, whose own column is then all zeros).
+
+Both predicates read only distances, so an automorphism of the matrix maps
+passing sets to passing sets, and a level has a passing set exactly when
+one contains an orbit representative (McKay, J. Algorithms 26, 1998).  So
+when no passing set contains element 0, always a representative, the other
+representatives are walked as first landmarks over all other elements; if
+none passes, the level fails and its other subsets are counted by
+arithmetic.  This runs only when it walks fewer subsets than the level and
+the level fits in the budget left, so every output is the plain walk's.
 """
 
 from __future__ import annotations
@@ -56,12 +65,13 @@ DEFAULT_BUDGET = 10**8
 class BudgetExceededError(Exception):
     """The search examined more candidate subsets than the budget allows."""
 
-    def __init__(self, budget: int, cardinality: int):
+    def __init__(self, budget: int, cardinality: int, examined: int):
         super().__init__(
             f"subset budget {budget} exhausted while testing {cardinality}-subsets"
         )
         self.budget = budget
         self.cardinality = cardinality
+        self.examined = examined  # pruned subsets included
 
 
 @dataclass(frozen=True)
@@ -209,7 +219,7 @@ class _Walk:
     def count(self, leaves: int) -> None:
         self.examined += leaves
         if self.examined > self.budget:
-            raise BudgetExceededError(self.budget, self.k)
+            raise BudgetExceededError(self.budget, self.k, self.examined)
 
     def descend(
         self,
@@ -219,17 +229,19 @@ class _Walk:
         start: int,
         r: int,
         prefix: tuple[int, ...],
+        stop: int,
     ) -> bool:
-        """Visit ``prefix`` extended by ``r`` landmarks from ``start`` on.
+        """Visit ``prefix`` extended by ``r`` landmarks from ``start`` on,
+        the next one below ``stop``.
 
         Returns True when the walk should stop (a hit without ``all_optima``).
         The walk keeps its own stack, one frame per landmark position, so
         its depth is not bounded by the interpreter's recursion limit.
         """
         if r == 1:
-            return self.leaves(columns, members, codes, start, prefix)
+            return self.leaves(columns, members, codes, start, prefix, stop)
         n = self.n
-        stack = [self.frame(members, codes, start, r, prefix)]
+        stack = [self.frame(members, codes, start, r, prefix, stop)]
         while stack:
             candidates, pick, scaled, members, r, prefix = stack[-1]
             bound = self.spread ** (r - 1)
@@ -244,10 +256,10 @@ class _Walk:
                 members_x = [members[i] for i in kept]
                 codes_x = [refined[i] for i in kept]
                 if r == 2:
-                    if self.leaves(columns, members_x, codes_x, x + 1, prefix + (x,)):
+                    if self.leaves(columns, members_x, codes_x, x + 1, prefix + (x,), n):
                         return True
                 else:
-                    child = self.frame(members_x, codes_x, x + 1, r - 1, prefix + (x,))
+                    child = self.frame(members_x, codes_x, x + 1, r - 1, prefix + (x,), n)
                     stack.append(child)
                     break
             else:
@@ -256,12 +268,13 @@ class _Walk:
 
     def frame(
         self, members: list[int], codes: list[int], start: int, r: int,
-        prefix: tuple[int, ...],
+        prefix: tuple[int, ...], stop: int,
     ) -> tuple:
         """A node on the stack: its untried next landmarks and its classes."""
         pick = itemgetter(*members) if members else lambda column: ()
         scaled = [c * self.spread for c in codes]  # a child adds its column value
-        return iter(range(start, self.n - r + 1)), pick, scaled, members, r, prefix
+        landmarks = iter(range(start, min(stop, self.n - r + 1)))
+        return landmarks, pick, scaled, members, r, prefix
 
     def leaves(
         self,
@@ -270,15 +283,16 @@ class _Walk:
         codes: list[int],
         start: int,
         prefix: tuple[int, ...],
+        stop: int,
     ) -> bool:
-        """Test ``prefix + (x,)`` for each ``x >= start``: is column ``x``
+        """Test ``prefix + (x,)`` for ``start <= x < stop``: is column ``x``
         injective on every class?  Largest classes first, as they fail most."""
         checks = [
             (itemgetter(*group), len(group))
             for group in sorted(_collisions(members, codes), key=len, reverse=True)
         ]
         counted = start
-        for x in range(start, self.n):
+        for x in range(start, stop):
             column = columns[x]
             for get, size in checks:
                 if len(set(get(column))) != size:
@@ -289,8 +303,36 @@ class _Walk:
                 self.hits.append(prefix + (x,))
                 if not self.all_optima:
                     return True
-        self.count(self.n - counted)
+        self.count(stop - counted)
         return False
+
+
+def _columns(dm: DistanceMatrix, doubly: bool, first: int, elements) -> list:
+    """The columns of ``elements``; for doubly resolving, shifted by ``first``."""
+    if doubly:
+        return _shifted_columns(dm, first, elements)
+    return [dm.rows[x] for x in elements]
+
+
+def _fails_on_representatives(
+    dm: DistanceMatrix, doubly: bool, spread: int, k: int, left: int
+) -> bool:
+    """With no passing k-set containing element 0, do the other orbit
+    representatives prove that level ``k`` fails?"""
+    n = dm.n
+    if comb(n, k) > left:
+        return False
+    representatives = dm.orbit_representatives()
+    if len(representatives) * comb(n - 1, k - 1) >= comb(n, k):
+        return False
+    proof = _Walk(n, spread, left, False, k, 0)
+    everything = list(range(n))
+    for r in representatives[1:]:  # 0 comes first and is done
+        # position 0 is r, the first landmark; the others follow
+        columns = _columns(dm, doubly, r, [r, *range(r), *range(r + 1, n)])
+        if proof.descend(columns, everything, [0] * n, 0, k, (), 1):
+            return False
+    return True
 
 
 def min_cardinality_search(
@@ -318,9 +360,12 @@ def min_cardinality_search(
     and adds its ``C(n - x - 1, r)`` leaves to the count, with the budget
     checked on that jump as on every leaf.  A whole level is counted this
     way, as ``C(n, k)``, when even the full element set is too large for
-    its free landmarks.  For doubly resolving the walk runs once per first
-    landmark ``s1``, over the columns shifted by ``s1``, from the one class
-    of all elements.
+    its free landmarks.  The walk runs once per first landmark ``s1``; for
+    doubly resolving, over the columns shifted by ``s1``.  When the matrix
+    has automorphisms and the ``s1 = 0`` walk finds nothing, the level is
+    proved to fail on the other orbit representatives if
+    ``len(representatives) * C(n - 1, k - 1) < C(n, k)`` and
+    ``examined + C(n, k) <= budget``; otherwise the walk goes on.
     """
     if predicate == RESOLVING:
         minimum = 1
@@ -334,6 +379,7 @@ def min_cardinality_search(
     # A column takes at most ``width + 1`` values, a shifted one ``2 width + 1``.
     width = max(map(max, dm.rows)) - min(map(min, dm.rows)) if n else 0
     spread = width + 1 if minimum == 1 else 2 * width + 1
+    doubly = minimum == 2
     everything = list(range(n)) if n > 1 else []  # the one class, unless a singleton
     same = [0] * len(everything)
     examined = 0
@@ -341,13 +387,16 @@ def min_cardinality_search(
         walk = _Walk(n, spread, budget, all_optima, k, examined)
         if n > spread ** (k - minimum + 1):  # the landmarks that refine are too few
             walk.count(comb(n, k))
-        elif minimum == 1:
-            walk.descend(dm.rows, everything, same, 0, k, ())
         else:
             for s1 in range(n - k + 1):
-                # columns up to s1 are never read under s1
-                columns = [()] * (s1 + 1) + _shifted_columns(dm, s1, range(s1 + 1, n))
-                if walk.descend(columns, everything, same, s1 + 1, k - 1, (s1,)):
+                if s1 == 1 and not walk.hits and _fails_on_representatives(
+                    dm, doubly, spread, k, budget - examined
+                ):
+                    walk.count(comb(n, k) - comb(n - 1, k - 1))  # the sets without 0
+                    break
+                # columns before s1 are never read under s1
+                columns = [()] * s1 + _columns(dm, doubly, s1, range(s1, n))
+                if walk.descend(columns, everything, same, s1, k, (), s1 + 1):
                     break
         examined = walk.examined
         if walk.hits:

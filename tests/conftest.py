@@ -5,8 +5,9 @@ orders than the library so that agreement is meaningful: frontier-set BFS
 instead of queue BFS, pairwise endpoint tests instead of incidence lists,
 descending bitmask powerset scans instead of level-wise lexicographic
 search, landmark-pair scans instead of injectivity of a shifted map, an
-explicit pending-pairs dict instead of class partitions for the greedy, and
-a subset-by-subset ``combinations`` loop instead of the pruned prefix walk.
+explicit pending-pairs dict instead of class partitions for the greedy, a
+subset-by-subset ``combinations`` loop instead of the pruned prefix walk,
+and the prism as a Cartesian product instead of the family generator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from edgedrs import Graph, build_graph
+from edgedrs import DisconnectedError, Graph, build_graph
 
 
 def frontier_bfs(adjacency, source: int) -> dict[int, int]:
@@ -47,6 +48,28 @@ def naive_line_graph_edges(edges) -> set[tuple[int, int]]:
 def dm_row_multiset(g: Graph):
     """Canonical multiset of sorted distance rows; equal for isomorphic graphs."""
     return sorted(tuple(sorted(row)) for row in g.distance_matrix.rows)
+
+
+def cartesian_product(a: Graph, b: Graph) -> Graph:
+    """Cartesian product: adjacent iff equal in one factor, adjacent in the other.
+
+    An independent construction of the prism (C_n square P_2) for the
+    family cross-checks.
+    """
+    if not a.is_connected or not b.is_connected:
+        raise DisconnectedError("cartesian product factors must be connected")
+
+    def idx(i: int, j: int) -> int:
+        return i * b.order + j
+
+    edges = []
+    for i in range(a.order):
+        for u, v in b.edges:
+            edges.append((idx(i, u), idx(i, v)))
+    for u, v in a.edges:
+        for j in range(b.order):
+            edges.append((idx(u, j), idx(v, j)))
+    return Graph(a.order * b.order, edges)
 
 
 def girth(g: Graph) -> int:
@@ -245,3 +268,42 @@ def pruned_search_matrices(draw):
     if g.size <= 24 and draw(st.integers(0, 3)):
         return g.line_distance_matrix
     return g.distance_matrix
+
+
+def ring_rotation(n: int, rings: int) -> tuple[int, ...]:
+    """``(ring, i) -> (ring, i + 1 mod n)`` with vertex ``(ring, i)`` numbered
+    ``ring * n + i``, written out independently of the family generators."""
+    return tuple(a * n + (i + 1) % n for a in range(rings) for i in range(n))
+
+
+@st.composite
+def rotation_graphs(draw):
+    """Connected graphs on 1..3 rings of 3..5 vertices that the ring rotation
+    maps onto themselves, with that rotation (and sometimes its square, a
+    redundant second generator) as their automorphisms.
+
+    Ring 0 is a cycle and ring ``a`` is joined to ring ``a + 1`` by spokes at
+    a drawn offset, so the graph is connected.  Each extra edge orbit joins
+    ``(a, i)`` to ``(b, i + j)`` for every ``i``.
+    """
+    n = draw(st.integers(3, 5))
+    rings = draw(st.integers(1, 3))
+    orbits = [(0, 0, 1)] + [
+        (a, a + 1, draw(st.integers(0, n - 1))) for a in range(rings - 1)
+    ]
+    orbits += draw(st.lists(
+        st.tuples(st.integers(0, rings - 1), st.integers(0, rings - 1),
+                  st.integers(0, n - 1)),
+        max_size=2,
+    ))
+    edges = set()
+    for a, b, j in orbits:
+        for i in range(n):
+            u, v = a * n + i, b * n + (i + j) % n
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    rotation = ring_rotation(n, rings)
+    generators = [rotation]
+    if draw(st.booleans()):
+        generators.append(tuple(rotation[x] for x in rotation))
+    return Graph(rings * n, edges, generators)

@@ -9,6 +9,7 @@ import pytest
 from edgedrs.cli import run
 from edgedrs.families import GraphSpecError, from_spec
 import edgedrs.cli as cli
+import edgedrs.core as core
 
 
 def run_json(capsys, argv):
@@ -284,3 +285,38 @@ def test_family_specs_above_the_order_cap_are_argument_errors(capsys, spec):
     assert run(["generate", "--graph", spec]) == 2
     err = capsys.readouterr().err
     assert err.startswith("edge-drs: argument error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["gp:10:3", "sunlet:7", "prism:6"])
+def test_file_graph_output_matches_the_family_graph(tmp_path, capsys, spec):
+    # a file graph has no automorphisms, so it runs the plain walk
+    path = tmp_path / "g.json"
+    assert run(["generate", "--graph", spec, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert from_spec(f"file:{path}").graph.automorphisms == ()
+    for argv in (["dim", "--mode", "edge"], ["psi", "--mode", "edge"],
+                 ["dim", "--all-optima"], ["psi", "--mode", "edge", "--all-optima"],
+                 ["psi", "--start-at-dim"], ["dim", "--mode", "edge", "--budget", "40"]):
+        for extra in (["--json"], []):
+            outputs = []
+            for graph in (spec, f"file:{path}"):
+                code = run([*argv, "--graph", graph, "--no-timing", *extra])
+                out, err = capsys.readouterr()
+                outputs.append((code, out.replace(f"file:{path}", spec), err))
+            assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--graph", "cycle:4001", "--mode", "edge"],
+    ["psi", "--graph", "path:4001"],
+    ["distances", "--graph", "sunlet:2001"],
+])
+def test_a_matrix_above_the_side_cap_is_refused_before_any_bfs(capsys, monkeypatch, argv):
+    def no_bfs(*args):
+        raise AssertionError("the cap must be checked before the BFS")
+
+    monkeypatch.setattr(core, "_bfs_row", no_bfs)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("edge-drs: error: ") and err.count("\n") == 1
+    assert f"the maximum of {core.MAX_MATRIX_SIDE}" in err

@@ -5,7 +5,6 @@ import pytest
 from edgedrs import (
     FamilyParameterError,
     GraphSpecError,
-    cartesian_product,
     edge_distance,
     from_spec,
     load_graph_file,
@@ -16,7 +15,7 @@ from edgedrs import (
     make_sunlet,
 )
 
-from conftest import dm_row_multiset, girth
+from conftest import cartesian_product, dm_row_multiset, girth
 
 
 def edist(lg, a, b):

@@ -1,6 +1,7 @@
 import random
 import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,14 +12,18 @@ from edgedrs import (
     RESOLVING,
     BudgetExceededError,
     DistanceMatrix,
+    Graph,
+    GraphError,
     build_graph,
     doubly_resolves,
     edge_metric_dimension,
+    from_spec,
     greedy_doubly_resolving,
     is_doubly_resolving,
     is_resolving,
     labeled_set_report,
     labels_doubly_resolve_pair,
+    line_graph,
     make_path,
     make_prism,
     make_sunlet,
@@ -42,6 +47,8 @@ from conftest import (
     powerset_min_size,
     pruned_search_matrices,
     random_connected_graph,
+    ring_rotation,
+    rotation_graphs,
     search_matrices,
 )
 
@@ -255,6 +262,15 @@ def test_budget_exceeded():
     g = make_prism(8).graph
     with pytest.raises(BudgetExceededError):
         psi_edge(g, budget=10)
+
+
+def test_budget_error_reports_the_subsets_counted():
+    # prism:8 has 24 edges; level 2 is counted whole, as C(24, 2) = 276
+    with pytest.raises(BudgetExceededError) as info:
+        psi_edge(make_prism(8).graph, budget=5)
+    exc = info.value
+    assert (exc.budget, exc.cardinality, exc.examined) == (5, 2, comb(24, 2))
+    assert str(exc) == "subset budget 5 exhausted while testing 2-subsets"
 
 
 def test_all_optima_collects_every_optimum():
@@ -477,6 +493,8 @@ ORACLE_BUDGET = 6000  # keeps each oracle run to a few thousand subsets
 @example(K3.distance_matrix, (RESOLVING, 1), False, None)
 # a level above the element count: no set at all
 @example(make_path(3).graph.line_distance_matrix, (DOUBLY_RESOLVING, 2), False, 3)
+# two optima at level 1, where each first landmark is a whole set
+@example(make_path(5).graph.distance_matrix, (RESOLVING, 1), True, None)
 def test_search_matches_combinations_oracle(dm, predicate_minimum, all_optima, start_k):
     predicate, minimum = predicate_minimum
     if dm.n < minimum:
@@ -519,3 +537,119 @@ def test_a_level_deeper_than_the_recursion_limit():
     dm = DistanceMatrix([[abs(i - j) for j in range(n)] for i in range(n)])
     res = min_cardinality_search(dm, RESOLVING, start_k=n)
     assert (res.best_set, res.subsets_examined) == (tuple(range(n)), 1)
+
+
+# ---------------------------------------------------------------------------
+# failing levels proved on orbit representatives
+# ---------------------------------------------------------------------------
+
+def trivial(dm):
+    """The same distances with no automorphisms: the plain walk."""
+    return DistanceMatrix(dm.rows)
+
+
+def assert_symmetric_search_is_plain(dm, predicate, all_optima, budget=10**8):
+    """Same outcome with and without the automorphisms, under ``budget`` and
+    under budgets one below, at and one above the end of each failing level
+    that ends within it."""
+    def outcomes(budget):
+        return [search_outcome(m, predicate, budget=budget, all_optima=all_optima)
+                for m in (dm, trivial(dm))]
+
+    symmetric, plain = outcomes(budget)
+    assert symmetric == plain
+    minimum = 1 if predicate == RESOLVING else 2
+    level_end = 0
+    for k in range(minimum, plain[1]):
+        level_end += comb(dm.n, k)
+        for budget in (level_end - 1, level_end, level_end + 1):
+            symmetric, plain = outcomes(budget)
+            assert symmetric == plain
+
+
+FAMILY_MATRICES = [
+    (spec, mode)
+    for spec in (
+        [f"cycle:{n}" for n in (3, 4, 5, 8, 11, 60)]
+        + [f"sunlet:{n}" for n in (3, 4, 5, 6, 7, 30)]
+        + [f"prism:{n}" for n in (3, 4, 5, 7, 10, 20)]
+        + [f"gp:{n}:{k}" for n in range(5, 11) for k in range(1, (n + 1) // 2)]
+        + ["gp:16:5", "gp:19:8", "gp:20:3"]
+    )
+    for mode in ("vertex", "edge")
+]
+
+
+@pytest.mark.parametrize("all_optima", [False, True])
+@pytest.mark.parametrize("predicate", [RESOLVING, DOUBLY_RESOLVING])
+@pytest.mark.parametrize("spec,mode", FAMILY_MATRICES)
+def test_family_search_with_rotation_equals_plain_walk(spec, mode, predicate, all_optima):
+    g = from_spec(spec).graph
+    dm = g.line_distance_matrix if mode == "edge" else g.distance_matrix
+    if all_optima and dm.n > 30:
+        return  # the full level scans are the plain walk's, and slow
+    # the budget caps the few searches (vertex psi of sunlets, say) that need
+    # more than 10**5 subsets; those must raise at the same level
+    assert_symmetric_search_is_plain(dm, predicate, all_optima, budget=50_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotation_graphs(), st.sampled_from([RESOLVING, DOUBLY_RESOLVING]), st.booleans(),
+       st.booleans())
+def test_rotation_graph_search_equals_plain_walk(g, predicate, edge, all_optima):
+    dm = g.line_distance_matrix if edge and g.size >= 2 else g.distance_matrix
+    if dm.n < 2:
+        return
+    # a few drawn graphs need 10**5 subsets or more; the budget caps them
+    assert_symmetric_search_is_plain(dm, predicate, all_optima, budget=20_000)
+
+
+def test_failing_levels_are_proved_on_representatives(monkeypatch):
+    proofs = []
+    original = resolving._fails_on_representatives
+
+    def recording(dm, doubly, spread, k, left):
+        proofs.append((doubly, k, original(dm, doubly, spread, k, left)))
+        return proofs[-1][-1]
+
+    monkeypatch.setattr(resolving, "_fails_on_representatives", recording)
+    g = from_spec("gp:12:5").graph
+    assert edge_metric_dimension(g).cardinality == psi_edge(g).cardinality == 4
+    # gp:12:5 has 36 edges in 3 rotation orbits.  Level 2 is skipped whole,
+    # level 3 is proved on the representatives, and at level 4 a set with
+    # element 0 passes, so no proof is asked for
+    assert proofs == [(False, 3, True), (True, 3, True)]
+
+
+@pytest.mark.parametrize(
+    "spec,vertex_orbits,edge_orbits",
+    [("cycle:7", 1, 1), ("path:5", 5, 4), ("sunlet:6", 2, 2), ("prism:5", 2, 3),
+     ("gp:9:2", 2, 3)],
+)
+def test_orbit_representatives_of_the_families(spec, vertex_orbits, edge_orbits):
+    g = from_spec(spec).graph
+    for dm, orbits in ((g.distance_matrix, vertex_orbits),
+                       (g.line_distance_matrix, edge_orbits)):
+        reps = dm.orbit_representatives()
+        assert len(reps) == orbits and reps[0] == 0 and list(reps) == sorted(reps)
+        assert trivial(dm).orbit_representatives() == tuple(range(dm.n))
+
+
+C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+@pytest.mark.parametrize(
+    "permutation",
+    [(1, 0, 2, 3),  # swaps adjacent 0, 1: maps edge (1, 2) to the non-edge (0, 2)
+     (0, 0, 1, 2),  # not a permutation
+     (1, 2, 3, 0, 4)],  # permutes five vertices, not four
+)
+def test_a_permutation_that_is_not_an_automorphism_raises(permutation):
+    good = Graph(4, C4, [ring_rotation(4, 1)])
+    assert good.distance_matrix.orbit_representatives() == (0,)
+    assert psi(good).cardinality == 3
+    g = Graph(4, C4, [ring_rotation(4, 1), permutation])
+    with pytest.raises(GraphError):
+        psi(g)  # no 2-set with vertex 0 passes, so the search asks for the orbits
+    with pytest.raises(GraphError):
+        line_graph(g)
