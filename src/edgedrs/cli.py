@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi", help="exact minimum doubly resolving set size")
     _add_common(p)
     _add_search_options(p)
-    p.add_argument("--start-at-dim", action="store_true",
-                   help="start the search at the metric dimension lower bound")
     p.add_argument("--greedy", action="store_true",
                    help="also report the greedy upper-bound set")
 
@@ -218,10 +216,8 @@ _SEARCHES = {
 def _cmd_search(args) -> int:
     lg = from_spec(args.graph)
     g = lg.graph
-    options = {"budget": args.budget, "all_optima": args.all_optima}
-    if args.command == "psi":
-        options["start_at_dimension"] = args.start_at_dim
-    result = _SEARCHES[args.command, args.mode](g, **options)
+    result = _SEARCHES[args.command, args.mode](
+        g, budget=args.budget, all_optima=args.all_optima)
     labels = lg.line_label_order() if args.mode == "edge" and lg.labels else None
     payload = result.to_json_dict(labels=labels, include_timing=not args.no_timing)
     report = {

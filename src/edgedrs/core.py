@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 
@@ -56,16 +56,16 @@ def canonical_edge(u: int, v: int) -> Edge:
 class DistanceMatrix:
     """Dense symmetric all-pairs shortest-path table with integer entries.
 
-    ``automorphisms``, if given, returns element permutations that preserve
-    every distance; it is called on first use.
+    ``automorphisms`` are element permutations that preserve every
+    distance; the matrix trusts them, and its orbits are computed on first use.
     """
 
     __slots__ = ("rows", "_automorphisms", "_representatives")
 
     def __init__(self, rows: Iterable[Iterable[int]],
-                 automorphisms: Callable[[], Iterable[Sequence[int]]] | None = None):
+                 automorphisms: Iterable[Sequence[int]] = ()):
         self.rows = tuple(tuple(row) for row in rows)
-        self._automorphisms = automorphisms
+        self._automorphisms = tuple(automorphisms)
         self._representatives: tuple[int, ...] | None = None
 
     @property
@@ -88,7 +88,7 @@ class DistanceMatrix:
                     parent[x] = x = parent[parent[x]]
                 return x
 
-            for p in self._automorphisms() if self._automorphisms else ():
+            for p in self._automorphisms:
                 for x, y in enumerate(p):
                     a, b = sorted((root(x), root(y)))
                     parent[b] = a
@@ -136,7 +136,7 @@ class Graph:
     Edges are canonicalized as (min endpoint, max endpoint) and ordered
     lexicographically; line-graph vertex ``i`` always means ``edges[i]``,
     which keeps search output reproducible across runs.  ``automorphisms``
-    are vertex permutations, checked before the search first uses them.
+    are vertex permutations, checked when a distance matrix is built.
     """
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]],
@@ -190,15 +190,15 @@ class Graph:
         if self.order > MAX_MATRIX_SIDE:
             raise GraphError(f"a distance matrix over {self.order} elements "
                              f"exceeds the maximum of {MAX_MATRIX_SIDE}")
+        automorphisms = _checked_automorphisms(self.order, self._edge_index,
+                                               self.automorphisms)
         rows = []
         for v in range(self.order):
             row = _bfs_row(self.adjacency, v)
             if any(d < 0 for d in row):
                 raise DisconnectedError("graph is disconnected")
             rows.append(row)
-        # no reference back to the graph, so no cycle delays freeing it
-        return DistanceMatrix(rows, partial(
-            _checked_automorphisms, self.order, self._edge_index, self.automorphisms))
+        return DistanceMatrix(rows, automorphisms)
 
     @cached_property
     def line_map(self) -> "LineGraphMap":
@@ -293,9 +293,7 @@ def graph_to_json_dict(
 MAX_JSON_ORDER = 100_000
 
 
-def graph_from_json_dict(
-    data: Mapping, require_connected: bool = False
-) -> tuple[Graph, dict[str, Edge] | None]:
+def graph_from_json_dict(data: Mapping) -> tuple[Graph, dict[str, Edge] | None]:
     """Parse graph JSON; any malformed input raises :class:`GraphError`."""
     try:
         order = int(data["order"])
@@ -304,7 +302,7 @@ def graph_from_json_dict(
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     if order > MAX_JSON_ORDER:
         raise GraphError(f"order {order} exceeds the maximum of {MAX_JSON_ORDER}")
-    g = build_graph(order, edges, require_connected=require_connected)
+    g = Graph(order, edges)
     if data.get("labels") is None:
         return g, None
     if not isinstance(data["labels"], Mapping):

@@ -35,7 +35,6 @@ from .core import (
     Graph,
     GraphError,
     MAX_JSON_ORDER,
-    build_graph,
     canonical_edge,
     graph_from_json_dict,
     graph_to_dot,

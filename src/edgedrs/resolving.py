@@ -422,38 +422,18 @@ def edge_metric_dimension(g: Graph, **kwargs) -> SearchResult:
     return min_cardinality_search(g.line_distance_matrix, RESOLVING, **kwargs)
 
 
-def _psi_search(
-    dm: DistanceMatrix,
-    start_at_dimension: bool,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    all_optima: bool = False,
-) -> SearchResult:
-    start_k = 2
-    if start_at_dimension:
-        start_k = max(2, min_cardinality_search(dm, RESOLVING, budget=budget).cardinality)
-    return min_cardinality_search(
-        dm, DOUBLY_RESOLVING, start_k, budget=budget, all_optima=all_optima
-    )
-
-
-def psi(g: Graph, *, start_at_dimension: bool = False, **kwargs) -> SearchResult:
-    """Minimum doubly resolving set size over vertices (always >= 2).
-
-    With ``start_at_dimension`` the search starts at max(2, metric
-    dimension), a valid lower bound since a doubly resolving set resolves;
-    ``budget`` bounds that first search too, ``all_optima`` only the second.
-    """
+def psi(g: Graph, **kwargs) -> SearchResult:
+    """Minimum doubly resolving set size over vertices (always >= 2)."""
     if g.order < 2:
         raise ValueError("doubly resolving sets need at least 2 vertices")
-    return _psi_search(g.distance_matrix, start_at_dimension, **kwargs)
+    return min_cardinality_search(g.distance_matrix, DOUBLY_RESOLVING, **kwargs)
 
 
-def psi_edge(g: Graph, *, start_at_dimension: bool = False, **kwargs) -> SearchResult:
+def psi_edge(g: Graph, **kwargs) -> SearchResult:
     """Minimum doubly resolving set size over edges, i.e. in the line graph."""
     if g.size < 2:
         raise ValueError("edge doubly resolving sets need at least 2 edges")
-    return _psi_search(g.line_distance_matrix, start_at_dimension, **kwargs)
+    return min_cardinality_search(g.line_distance_matrix, DOUBLY_RESOLVING, **kwargs)
 
 
 # ---------------------------------------------------------------------------

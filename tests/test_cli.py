@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -169,6 +170,8 @@ def test_argument_errors_exit_two(capsys):
     capsys.readouterr()
     assert run(["psi", "--graph", "sunlet:2"]) == 2
     capsys.readouterr()
+    assert run(["psi", "--graph", "sunlet:8", "--start-at-dim"]) == 2
+    capsys.readouterr()
 
 
 def test_computation_errors_exit_one(tmp_path, capsys):
@@ -296,7 +299,7 @@ def test_file_graph_output_matches_the_family_graph(tmp_path, capsys, spec):
     assert from_spec(f"file:{path}").graph.automorphisms == ()
     for argv in (["dim", "--mode", "edge"], ["psi", "--mode", "edge"],
                  ["dim", "--all-optima"], ["psi", "--mode", "edge", "--all-optima"],
-                 ["psi", "--start-at-dim"], ["dim", "--mode", "edge", "--budget", "40"]):
+                 ["dim", "--mode", "edge", "--budget", "40"]):
         for extra in (["--json"], []):
             outputs = []
             for graph in (spec, f"file:{path}"):
@@ -320,3 +323,39 @@ def test_a_matrix_above_the_side_cap_is_refused_before_any_bfs(capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("edge-drs: error: ") and err.count("\n") == 1
     assert f"the maximum of {core.MAX_MATRIX_SIDE}" in err
+
+
+# sha256 of --no-timing stdout; these bytes change only with a CHANGES.md entry
+GOLDEN_STDOUT = [
+    (["experiment", "--n", "5..11", "--no-timing", "--json"],
+     "05f855e41e668ba3782cae603ac6131603cf298d3e5747cb0a482540868ba1d6"),
+    (["experiment", "--n", "5..11", "--no-timing"],
+     "147d474d7dc02335de522ea89f961f6471b473569d037e906411ad32e1e20bdb"),
+    (["psi", "--graph", "sunlet:8", "--mode", "edge", "--no-timing", "--json"],
+     "56998f4adc7acecfe581e3414b5623cde52a342762737f5fec40ec9c54a72e69"),
+    (["psi", "--graph", "prism:30", "--mode", "edge", "--greedy", "--no-timing", "--json"],
+     "c4e62da8e06acb371c9ed47c46d58ecd44b22ea93fbbcd76465522f4bb409bbe"),
+    (["psi", "--graph", "gp:10:3", "--no-timing", "--json"],
+     "0e001e01160c0a30486b25436c5364bde46343ca1483e940d5484cbaf869938d"),
+    (["dim", "--graph", "gp:12:5", "--mode", "edge", "--all-optima", "--no-timing", "--json"],
+     "bb7096df47b590fa1874f4e682a37e0640d5838a0e6e38eba9511f152f5f5e9d"),
+    (["verify", "--family", "prism", "--n", "6..30", "--no-timing", "--json"],
+     "9ac5d0be88874e882eda3ecdb59465957456e55b70dbb0efc6bfbc358c361ea8"),
+    (["distances", "--graph", "sunlet:8", "--mode", "edge", "--no-timing"],
+     "75dcd9818ac5c44e166e3d4ee66c49b2b19f1528d02c7d272221e739b8984f28"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
+def test_no_timing_output_is_byte_identical(capsys, argv, digest):
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_default_reproduce_markdown_is_byte_identical(tmp_path, capsys):
+    out = tmp_path / "report.md"
+    assert run(["reproduce", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "da02afd00f7628b9d5e4ae5b51870c45481ad68ddff9bcbb81919f08ae2d51d4")

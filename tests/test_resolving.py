@@ -234,30 +234,6 @@ def test_psi_requires_enough_elements():
         psi_edge(build_graph(2, [(0, 1)]))
 
 
-def test_psi_start_at_dimension_matches():
-    g = make_sunlet(8).graph
-    assert psi_edge(g).cardinality == psi_edge(g, start_at_dimension=True).cardinality
-
-
-@pytest.mark.parametrize("search", [psi, psi_edge])
-def test_start_at_dimension_forwards_only_budget(monkeypatch, search):
-    # all_optima belongs to the psi level; the dim level needs one optimum
-    calls = []
-    original = resolving.min_cardinality_search
-
-    def recording(dm, predicate, *args, **kwargs):
-        calls.append((predicate, kwargs))
-        return original(dm, predicate, *args, **kwargs)
-
-    monkeypatch.setattr(resolving, "min_cardinality_search", recording)
-    res = search(make_prism(4).graph, start_at_dimension=True, all_optima=True, budget=10**6)
-    assert calls == [
-        (RESOLVING, {"budget": 10**6}),
-        (DOUBLY_RESOLVING, {"budget": 10**6, "all_optima": True}),
-    ]
-    assert res.all_optima[0] == res.best_set
-
-
 def test_budget_exceeded():
     g = make_prism(8).graph
     with pytest.raises(BudgetExceededError):
