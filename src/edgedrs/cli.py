@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .closed_form import Deviation, family_pair_count, verify_family
@@ -126,15 +127,25 @@ def build_parser() -> argparse.ArgumentParser:
 # Rendering helpers
 # ---------------------------------------------------------------------------
 
+def _dumps(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, with a last ``matrix`` key joined row by
+    row: under ``indent`` the encoder is pure Python, several calls an entry."""
+    if "matrix" not in report:
+        return json.dumps(report, indent=2)
+    head = json.dumps({k: v for k, v in report.items() if k != "matrix"}, indent=2)
+    cell = [str(d) for d in range(max(map(max, report["matrix"])) + 1)]
+    rows = ",\n".join("    [\n      " + ",\n      ".join(map(cell.__getitem__, row))
+                      + "\n    ]" for row in report["matrix"])
+    return head[:-2] + ',\n  "matrix": [\n' + rows + "\n  ]\n}"
+
+
 def _emit(report: dict, args: argparse.Namespace, text_lines: list[str]) -> None:
-    if args.json:
-        body = json.dumps(report, indent=2)
-    else:
-        body = "\n".join(text_lines)
-    print(body)
-    if getattr(args, "out", None) and args.command != "reproduce":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+    out = args.out if args.command != "reproduce" else None
+    encoded = _dumps(report) if args.json or out else None
+    print(encoded if args.json else "\n".join(text_lines))
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(encoded + "\n")
 
 
 def _graph_summary(lg: LabeledGraph, spec: str) -> dict:
@@ -193,14 +204,13 @@ def _cmd_distances(args) -> int:
         "graph": _graph_summary(lg, args.graph),
         "mode": args.mode,
         "elements": names,
-        "matrix": [list(row) for row in dm.rows],
+        "matrix": dm.rows,
     }
     width = max(len(name) for name in names) + 1
+    cell = [f"{d:>{width}}" for d in range(max(map(max, dm.rows)) + 1)]
     lines = [" " * width + " ".join(f"{name:>{width}}" for name in names)]
     for name, row in zip(names, dm.rows):
-        lines.append(
-            f"{name:>{width}}" + " ".join(f"{d:>{width}}" for d in row)
-        )
+        lines.append(f"{name:>{width}}" + " ".join(map(cell.__getitem__, row)))
     _emit(report, args, lines)
     return EXIT_OK
 
@@ -364,10 +374,13 @@ _HANDLERS = {
 }
 
 
+# one parser a process, built on the first run rather than at import
+_parser = cache(build_parser)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics
         return int(exc.code or 0)
     try:

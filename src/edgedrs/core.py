@@ -3,6 +3,8 @@
 A :class:`Graph` is immutable once built. The all-pairs distance matrix of
 the graph and of its line graph are computed lazily and cached on the graph
 object, so every metric query against the same instance reuses one table.
+The matrix runs one BFS per orbit of the graph's checked automorphisms and
+fills every other row by reading a known row through a generator.
 Distances are exact small integers stored densely: O(1) lookups beat any
 cleverer storage, and a matrix side is capped at :data:`MAX_MATRIX_SIDE`.
 """
@@ -13,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
@@ -56,17 +59,17 @@ def canonical_edge(u: int, v: int) -> Edge:
 class DistanceMatrix:
     """Dense symmetric all-pairs shortest-path table with integer entries.
 
-    ``automorphisms`` are element permutations that preserve every
-    distance; the matrix trusts them, and its orbits are computed on first use.
+    ``representatives``, trusted, are the least element of each orbit of a
+    group of distance-preserving permutations, ascending; by default, all.
     """
 
-    __slots__ = ("rows", "_automorphisms", "_representatives")
+    __slots__ = ("rows", "_representatives")
 
     def __init__(self, rows: Iterable[Iterable[int]],
-                 automorphisms: Iterable[Sequence[int]] = ()):
+                 representatives: Iterable[int] | None = None):
         self.rows = tuple(tuple(row) for row in rows)
-        self._automorphisms = tuple(automorphisms)
-        self._representatives: tuple[int, ...] | None = None
+        self._representatives = tuple(
+            range(self.n) if representatives is None else representatives)
 
     @property
     def n(self) -> int:
@@ -80,19 +83,6 @@ class DistanceMatrix:
 
     def orbit_representatives(self) -> tuple[int, ...]:
         """The least element of each orbit of the automorphisms, ascending."""
-        if self._representatives is None:
-            parent = list(range(self.n))  # union-find, each root its orbit's least
-
-            def root(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                return x
-
-            for p in self._automorphisms:
-                for x, y in enumerate(p):
-                    a, b = sorted((root(x), root(y)))
-                    parent[b] = a
-            self._representatives = tuple(x for x in range(self.n) if parent[x] == x)
         return self._representatives
 
 
@@ -186,19 +176,36 @@ class Graph:
 
     @cached_property
     def distance_matrix(self) -> DistanceMatrix:
-        """BFS from every vertex; raises ``DisconnectedError`` if unreachable."""
+        """BFS from the least element of each orbit of the automorphisms; an
+        automorphism ``p`` fills row ``p(x)`` with row ``x`` read through
+        ``p^-1``.  Raises ``DisconnectedError`` if a vertex is unreachable."""
         if self.order > MAX_MATRIX_SIDE:
             raise GraphError(f"a distance matrix over {self.order} elements "
                              f"exceeds the maximum of {MAX_MATRIX_SIDE}")
-        automorphisms = _checked_automorphisms(self.order, self._edge_index,
-                                               self.automorphisms)
-        rows = []
-        for v in range(self.order):
-            row = _bfs_row(self.adjacency, v)
-            if any(d < 0 for d in row):
+        generators = _checked_automorphisms(self.order, self._edge_index,
+                                            self.automorphisms)
+        # p^-1 lists the x sorted by p(x)
+        readers = [(p, itemgetter(*sorted(range(self.order), key=p.__getitem__)))
+                   for p in generators]
+        rows: list = [None] * self.order
+        representatives = []
+        for source in range(self.order):
+            if rows[source] is not None:
+                continue
+            # a row read through a permutation holds a -1 only if its source does
+            row = _bfs_row(self.adjacency, source)
+            if -1 in row:
                 raise DisconnectedError("graph is disconnected")
-            rows.append(row)
-        return DistanceMatrix(rows, automorphisms)
+            rows[source] = row
+            representatives.append(source)
+            orbit = [source]
+            while orbit:
+                x = orbit.pop()
+                for p, read in readers:
+                    if rows[p[x]] is None:
+                        rows[p[x]] = read(rows[x])
+                        orbit.append(p[x])
+        return DistanceMatrix(rows, representatives)
 
     @cached_property
     def line_map(self) -> "LineGraphMap":

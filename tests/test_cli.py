@@ -9,6 +9,7 @@ import pytest
 
 from edgedrs.cli import run
 from edgedrs.families import GraphSpecError, from_spec
+from edgedrs.resolving import DEFAULT_BUDGET, edge_metric_dimension
 import edgedrs.cli as cli
 import edgedrs.core as core
 
@@ -343,6 +344,16 @@ GOLDEN_STDOUT = [
      "9ac5d0be88874e882eda3ecdb59465957456e55b70dbb0efc6bfbc358c361ea8"),
     (["distances", "--graph", "sunlet:8", "--mode", "edge", "--no-timing"],
      "75dcd9818ac5c44e166e3d4ee66c49b2b19f1528d02c7d272221e739b8984f28"),
+    (["distances", "--graph", "sunlet:8", "--mode", "edge", "--no-timing", "--json"],
+     "f1c5037631fd489dac903a28ccef831782c37ddbca18c07f532a8428fd8805c8"),
+    (["distances", "--graph", "gp:12:5", "--mode", "edge", "--no-timing", "--json"],
+     "eafcc1e2f0475fee4e73813849217a8c2203c0bae5641f79a0c1b8bad3d256b1"),
+    (["distances", "--graph", "gp:12:5", "--mode", "edge", "--no-timing"],
+     "83be6f39b6e2ab4524ad9b587a756f4f035a0c602f9fc38263f0bfd236795cf0"),
+    (["distances", "--graph", "prism:7", "--no-timing", "--json"],
+     "59a9c95e25ff1e3bef42c2ad75c4ca7a72d0d867cff46a86ceab580f3a47cf0f"),
+    (["distances", "--graph", "cycle:9", "--mode", "edge", "--no-timing"],
+     "8887c978a0f7d005a1b9f2106e74b84aaabcb31f4fe807f7a0587d5bb8c5ac84"),
 ]
 
 
@@ -351,6 +362,49 @@ GOLDEN_STDOUT = [
 def test_no_timing_output_is_byte_identical(capsys, argv, digest):
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec,mode", [("gp:12:5", "edge"), ("prism:7", "vertex")])
+def test_distances_out_file_holds_the_json_stdout(tmp_path, capsys, spec, mode):
+    argv = ["distances", "--graph", spec, "--mode", mode, "--no-timing"]
+    assert run([*argv, "--json"]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert json.loads(printed)["matrix"][1][0] == 1
+    for extra in (["--json"], []):  # the text report writes the same JSON
+        out = tmp_path / "report.json"
+        assert run([*argv, *extra, "--out", str(out)]) == 0
+        assert out.read_bytes() == printed
+        assert (capsys.readouterr().out.encode() == printed) == bool(extra)
+
+
+def test_the_cached_parser_keeps_no_state_between_runs(capsys, monkeypatch):
+    argv, digest = GOLDEN_STDOUT[2]
+    assert run(["psi", "--graph", "sunlet:8", "--budget", "0"]) == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    budgets = []
+
+    def recording(g, budget, all_optima):
+        budgets.append(budget)
+        return edge_metric_dimension(g, budget=budget, all_optima=all_optima)
+
+    monkeypatch.setitem(cli._SEARCHES, ("dim", "edge"), recording)
+    dim = ["dim", "--graph", "prism:8", "--mode", "edge"]
+    assert run([*dim, "--budget", "5"]) == 1
+    assert run(dim) == 0
+    assert budgets == [5, DEFAULT_BUDGET]
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli._parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import edgedrs.cli as c; "
+            "print(c._parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "0\n"
 
 
 def test_default_reproduce_markdown_is_byte_identical(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from edgedrs import (
     build_graph,
     canonical_edge,
     edge_distance,
+    from_spec,
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
@@ -26,7 +28,15 @@ from edgedrs import (
     make_sunlet,
 )
 
-from conftest import connected_graphs, frontier_bfs, naive_line_graph_edges
+import edgedrs.core as core
+
+from conftest import (
+    connected_graphs,
+    frontier_bfs,
+    naive_line_graph_edges,
+    ring_rotation,
+    rotation_graphs,
+)
 
 
 def test_build_triangle():
@@ -210,6 +220,98 @@ def test_distance_matrix_axioms(g):
             row_j = dm[j]
             for k in range(n):
                 assert row_i[k] <= dij + row_j[k]
+
+
+# ---------------------------------------------------------------------------
+# rows filled by the automorphisms, one BFS per orbit
+# ---------------------------------------------------------------------------
+
+def assert_matrices_are_bfs(g):
+    """The vertex and line matrices of ``g`` equal the frontier-BFS oracle."""
+    for h in [g, g.line_map.graph] if g.size else [g]:
+        for src, row in enumerate(h.distance_matrix.rows):
+            oracle = frontier_bfs(h.adjacency, src)
+            assert row == tuple(oracle[j] for j in range(h.order))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"cycle:{n}" for n in (3, 4, 5, 8, 31, 60)]
+    + [f"sunlet:{n}" for n in (3, 4, 5, 6, 7, 30)]
+    + [f"prism:{n}" for n in (3, 4, 5, 7, 12, 20)]
+    + [f"gp:{n}:{k}" for n in range(5, 11) for k in range(1, (n + 1) // 2)]
+    + ["gp:16:5", "gp:19:8", "gp:20:3", "path:7"],
+)
+def test_family_matrices_equal_independent_bfs(spec):
+    assert_matrices_are_bfs(from_spec(spec).graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotation_graphs())
+def test_rotation_graph_matrices_equal_independent_bfs(g):
+    assert_matrices_are_bfs(g)
+
+
+def counting_bfs(monkeypatch):
+    """Record the source of every ``_bfs_row`` call from now on."""
+    sources = []
+    original = core._bfs_row
+
+    def counting(adjacency, source):
+        sources.append(source)
+        return original(adjacency, source)
+
+    monkeypatch.setattr(core, "_bfs_row", counting)
+    return sources
+
+
+@pytest.mark.parametrize("spec,orbits", [("sunlet:200", 2), ("prism:150", 3), ("gp:150:7", 3)])
+def test_one_bfs_per_orbit_of_the_line_graph(monkeypatch, spec, orbits):
+    g = from_spec(spec).graph
+    sources = counting_bfs(monkeypatch)
+    dm = g.line_distance_matrix
+    assert len(sources) == orbits and tuple(sources) == dm.orbit_representatives()
+
+
+def test_a_file_graph_runs_one_bfs_per_element(monkeypatch, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(make_prism(9).to_json_dict()))
+    g = from_spec(f"file:{path}").graph
+    sources = counting_bfs(monkeypatch)
+    g.distance_matrix
+    assert sources == list(range(g.order))
+    del sources[:]
+    assert g.line_distance_matrix.orbit_representatives() == tuple(range(g.size))
+    assert sources == list(range(g.size))
+
+
+TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [(1, 2, 0, 4, 5, 3),  # rotates each triangle: two orbits
+     (3, 4, 5, 1, 2, 0)],  # also swaps them: one orbit, so one BFS
+)
+def test_a_disconnected_graph_with_automorphisms_raises(generator):
+    g = Graph(6, TWO_TRIANGLES, [generator])
+    with pytest.raises(DisconnectedError):
+        g.distance_matrix
+    with pytest.raises(DisconnectedError):
+        g.line_distance_matrix
+
+
+@pytest.mark.parametrize(
+    "permutation", [(1, 0, 2, 3), (0, 0, 1, 2), (1, 2, 3, 0, 4)],
+)
+def test_a_bad_generator_raises_before_any_bfs(monkeypatch, permutation):
+    def no_bfs(*args):
+        raise AssertionError("the generators must be checked before the BFS")
+
+    monkeypatch.setattr(core, "_bfs_row", no_bfs)
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [ring_rotation(4, 1), permutation])
+    with pytest.raises(GraphError):
+        g.distance_matrix
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,6 @@ def test_a_permutation_that_is_not_an_automorphism_raises(permutation):
     assert psi(good).cardinality == 3
     g = Graph(4, C4, [ring_rotation(4, 1), permutation])
     with pytest.raises(GraphError):
-        psi(g)  # no 2-set with vertex 0 passes, so the search asks for the orbits
+        psi(g)  # Graph.distance_matrix checks the generators before any BFS
     with pytest.raises(GraphError):
         line_graph(g)
