@@ -127,21 +127,38 @@ def build_parser() -> argparse.ArgumentParser:
 # Rendering helpers
 # ---------------------------------------------------------------------------
 
-def _dumps(report: dict) -> str:
-    """``json.dumps(report, indent=2)``, with a last ``matrix`` key joined row by
-    row: under ``indent`` the encoder is pure Python, several calls an entry."""
-    if "matrix" not in report:
-        return json.dumps(report, indent=2)
-    head = json.dumps({k: v for k, v in report.items() if k != "matrix"}, indent=2)
-    cell = [str(d) for d in range(max(map(max, report["matrix"])) + 1)]
-    rows = ",\n".join("    [\n      " + ",\n      ".join(map(cell.__getitem__, row))
-                      + "\n    ]" for row in report["matrix"])
-    return head[:-2] + ',\n  "matrix": [\n' + rows + "\n  ]\n}"
+_TABLES = ("matrix", "all_optima")  # rows of scalars
+
+
+def _has_table(value) -> bool:
+    return isinstance(value, dict) and any(k in _TABLES or _has_table(v) for k, v in value.items())
+
+
+def _json_pieces(value, pad: str = "\n", table: bool = False):
+    """The pieces of ``json.dumps(value, indent=2)``, inner lines led by ``pad``.
+
+    Under ``indent`` the encoder is pure Python, several calls an entry, so
+    the dicts that hold a table are laid out here and a table row by row from
+    one encoded string per value; one join of the pieces copies it once."""
+    inner, cells = pad + "  ", pad + "    "
+    if table:
+        cell = {v: json.dumps(v) for v in set().union(*value)}
+        yield "[" + inner
+        yield ("," + inner).join("[" + cells + ("," + cells).join(map(cell.__getitem__, row))
+                                 + inner + "]" for row in value)
+        yield pad + "]"
+    elif _has_table(value):
+        for i, (k, v) in enumerate(value.items()):
+            yield ("," if i else "{") + inner + json.dumps(k) + ": "
+            yield from _json_pieces(v, inner, k in _TABLES)
+        yield pad + "}"
+    else:
+        yield json.dumps(value, indent=2).replace("\n", pad)
 
 
 def _emit(report: dict, args: argparse.Namespace, text_lines: list[str]) -> None:
     out = args.out if args.command != "reproduce" else None
-    encoded = _dumps(report) if args.json or out else None
+    encoded = "".join(_json_pieces(report)) if args.json or out else None
     print(encoded if args.json else "\n".join(text_lines))
     if out:
         with open(out, "w", encoding="utf-8") as fh:

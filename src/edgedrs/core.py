@@ -59,17 +59,18 @@ def canonical_edge(u: int, v: int) -> Edge:
 class DistanceMatrix:
     """Dense symmetric all-pairs shortest-path table with integer entries.
 
-    ``representatives``, trusted, are the least element of each orbit of a
-    group of distance-preserving permutations, ascending; by default, all.
+    ``generators``, trusted, permute the elements preserving distances, and
+    ``orbits[x]`` numbers ``x``'s orbit under them, orbits in ascending order
+    of least element.  By default every element is its own orbit.
     """
 
-    __slots__ = ("rows", "_representatives")
+    __slots__ = ("rows", "orbits", "generators")
 
-    def __init__(self, rows: Iterable[Iterable[int]],
-                 representatives: Iterable[int] | None = None):
+    def __init__(self, rows: Iterable[Iterable[int]], orbits: Iterable[int] | None = None,
+                 generators: Iterable[Sequence[int]] = ()):
         self.rows = tuple(tuple(row) for row in rows)
-        self._representatives = tuple(
-            range(self.n) if representatives is None else representatives)
+        self.orbits = tuple(range(self.n) if orbits is None else orbits)
+        self.generators = tuple(generators)
 
     @property
     def n(self) -> int:
@@ -83,7 +84,8 @@ class DistanceMatrix:
 
     def orbit_representatives(self) -> tuple[int, ...]:
         """The least element of each orbit of the automorphisms, ascending."""
-        return self._representatives
+        least = dict(zip(self.orbits[::-1], range(self.n - 1, -1, -1)))  # last write wins
+        return tuple(sorted(least.values()))
 
 
 def _bfs_row(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
@@ -100,8 +102,9 @@ def _bfs_row(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
     return dist
 
 
-# Every search and ``distances`` builds a dense matrix of at most this side:
-# about 680 MB, if the 169 MB measured at 2,000 scales with the square.
+# The largest matrix side a search or ``distances`` builds.  A generator-free
+# 4,000-cycle takes 6 s and peaks at 688 MB (ru_maxrss, Python 3.11); rows filled
+# through generators share their ints, so cycle:3999 peaks at 140 MB.
 MAX_MATRIX_SIDE = 4_000
 
 
@@ -176,9 +179,9 @@ class Graph:
 
     @cached_property
     def distance_matrix(self) -> DistanceMatrix:
-        """BFS from the least element of each orbit of the automorphisms; an
-        automorphism ``p`` fills row ``p(x)`` with row ``x`` read through
-        ``p^-1``.  Raises ``DisconnectedError`` if a vertex is unreachable."""
+        """BFS from the least element of each orbit of the automorphisms, the
+        orbits numbered in that order; a generator ``p`` fills row ``p(x)`` with
+        row ``x`` read through ``p^-1``.  ``DisconnectedError`` if disconnected."""
         if self.order > MAX_MATRIX_SIDE:
             raise GraphError(f"a distance matrix over {self.order} elements "
                              f"exceeds the maximum of {MAX_MATRIX_SIDE}")
@@ -188,24 +191,26 @@ class Graph:
         readers = [(p, itemgetter(*sorted(range(self.order), key=p.__getitem__)))
                    for p in generators]
         rows: list = [None] * self.order
-        representatives = []
+        orbits = [-1] * self.order
+        j = -1
         for source in range(self.order):
-            if rows[source] is not None:
+            if orbits[source] >= 0:
                 continue
             # a row read through a permutation holds a -1 only if its source does
             row = _bfs_row(self.adjacency, source)
             if -1 in row:
                 raise DisconnectedError("graph is disconnected")
-            rows[source] = row
-            representatives.append(source)
+            j += 1
+            rows[source], orbits[source] = row, j
             orbit = [source]
             while orbit:
                 x = orbit.pop()
                 for p, read in readers:
-                    if rows[p[x]] is None:
-                        rows[p[x]] = read(rows[x])
-                        orbit.append(p[x])
-        return DistanceMatrix(rows, representatives)
+                    y = p[x]
+                    if orbits[y] < 0:
+                        rows[y], orbits[y] = read(rows[x]), j
+                        orbit.append(y)
+        return DistanceMatrix(rows, orbits, generators)
 
     @cached_property
     def line_map(self) -> "LineGraphMap":

@@ -28,18 +28,13 @@ resolving, ``2 diam + 1`` for the shifted columns of doubly resolving.  So
 a prefix with a larger class has no passing subset below it.  Such a prefix
 is skipped and its ``C(n - x - 1, r)`` subsets (``x`` its last landmark) are
 counted by arithmetic, which keeps ``subsets_examined`` and the level at
-which the budget runs out what a subset-by-subset scan would give.  The
-walk runs once per first landmark ``s1`` (for doubly resolving over the
-columns shifted by ``s1``, whose own column is then all zeros).
+which the budget runs out what a subset-by-subset scan would give.
 
 Both predicates read only distances, so an automorphism of the matrix maps
-passing sets to passing sets, and a level has a passing set exactly when
-one contains an orbit representative (McKay, J. Algorithms 26, 1998).  So
-when no passing set contains element 0, always a representative, the other
-representatives are walked as first landmarks over all other elements; if
-none passes, the level fails and its other subsets are counted by
-arithmetic.  This runs only when it walks fewer subsets than the level and
-the level fits in the budget left, so every output is the plain walk's.
+passing sets to passing sets (McKay, J. Algorithms 26, 1998).  A level is
+walked once per orbit, in ascending order of least element, from that
+element as first landmark (for doubly resolving, over the columns shifted by
+it) with the later elements of that orbit and later orbits as companions.
 """
 
 from __future__ import annotations
@@ -206,9 +201,7 @@ class _Walk:
     none.
     """
 
-    def __init__(self, n: int, spread: int, budget: int, all_optima: bool, k: int,
-                 examined: int):
-        self.n = n
+    def __init__(self, spread: int, budget: int, all_optima: bool, k: int, examined: int):
         self.spread = spread
         self.budget = budget
         self.all_optima = all_optima
@@ -232,7 +225,7 @@ class _Walk:
         stop: int,
     ) -> bool:
         """Visit ``prefix`` extended by ``r`` landmarks from ``start`` on,
-        the next one below ``stop``.
+        the next one below ``stop``; landmark ``x`` is column ``x``.
 
         Returns True when the walk should stop (a hit without ``all_optima``).
         The walk keeps its own stack, one frame per landmark position, so
@@ -240,8 +233,8 @@ class _Walk:
         """
         if r == 1:
             return self.leaves(columns, members, codes, start, prefix, stop)
-        n = self.n
-        stack = [self.frame(members, codes, start, r, prefix, stop)]
+        n = len(columns)
+        stack = [self.frame(members, codes, start, r, prefix, min(stop, n - r + 1))]
         while stack:
             candidates, pick, scaled, members, r, prefix = stack[-1]
             bound = self.spread ** (r - 1)
@@ -259,7 +252,8 @@ class _Walk:
                     if self.leaves(columns, members_x, codes_x, x + 1, prefix + (x,), n):
                         return True
                 else:
-                    child = self.frame(members_x, codes_x, x + 1, r - 1, prefix + (x,), n)
+                    child = self.frame(members_x, codes_x, x + 1, r - 1, prefix + (x,),
+                                       n - r + 2)
                     stack.append(child)
                     break
             else:
@@ -270,10 +264,11 @@ class _Walk:
         self, members: list[int], codes: list[int], start: int, r: int,
         prefix: tuple[int, ...], stop: int,
     ) -> tuple:
-        """A node on the stack: its untried next landmarks and its classes."""
+        """A node on the stack: its untried next landmarks, those below
+        ``stop`` (where ``r`` of them still fit), and its classes."""
         pick = itemgetter(*members) if members else lambda column: ()
         scaled = [c * self.spread for c in codes]  # a child adds its column value
-        landmarks = iter(range(start, min(stop, self.n - r + 1)))
+        landmarks = iter(range(start, stop))
         return landmarks, pick, scaled, members, r, prefix
 
     def leaves(
@@ -314,25 +309,25 @@ def _columns(dm: DistanceMatrix, doubly: bool, first: int, elements) -> list:
     return [dm.rows[x] for x in elements]
 
 
-def _fails_on_representatives(
-    dm: DistanceMatrix, doubly: bool, spread: int, k: int, left: int
-) -> bool:
-    """With no passing k-set containing element 0, do the other orbit
-    representatives prove that level ``k`` fails?"""
-    n = dm.n
-    if comb(n, k) > left:
-        return False
-    representatives = dm.orbit_representatives()
-    if len(representatives) * comb(n - 1, k - 1) >= comb(n, k):
-        return False
-    proof = _Walk(n, spread, left, False, k, 0)
-    everything = list(range(n))
-    for r in representatives[1:]:  # 0 comes first and is done
-        # position 0 is r, the first landmark; the others follow
-        columns = _columns(dm, doubly, r, [r, *range(r), *range(r + 1, n)])
-        if proof.descend(columns, everything, [0] * n, 0, k, (), 1):
-            return False
-    return True
+def _lexrank(subset: Sequence[int], n: int) -> int:
+    """0-based rank of ascending ``subset`` among the ``len(subset)``-subsets
+    of ``range(n)`` in lexicographic order: per position ``i``, the subsets
+    that agree before ``i`` and hold a smaller element at ``i``."""
+    k = len(subset)
+    return sum(comb(n - before - 1, k - i) - comb(n - x, k - i)
+               for i, (before, x) in enumerate(zip((-1, *subset), subset)))
+
+
+def _closure(sets: Sequence[tuple[int, ...]], generators) -> tuple[tuple[int, ...], ...]:
+    """``sets`` and their images under the group the generators generate, sorted."""
+    found, work = set(sets), list(sets)
+    for s in work:  # grows as new images turn up
+        for p in generators:
+            image = tuple(sorted(map(p.__getitem__, s)))
+            if image not in found:
+                found.add(image)
+                work.append(image)
+    return tuple(sorted(work))
 
 
 def min_cardinality_search(
@@ -343,29 +338,27 @@ def min_cardinality_search(
     budget: int = DEFAULT_BUDGET,
     all_optima: bool = False,
 ) -> SearchResult:
-    """Smallest landmark set passing the predicate, by level-wise enumeration.
+    """Smallest landmark set passing the predicate, by level-wise search.
 
-    Level ``k`` visits all k-subsets in lexicographic order, so the
-    returned set is the lexicographically first optimum and no smaller set
-    passes.  ``subsets_examined`` counts the k-subsets visited across all
-    levels, those of pruned subtrees included; crossing ``budget`` raises
-    :class:`BudgetExceededError` at the level where the one-by-one count
-    would have crossed it.
+    The returned set is the lexicographically first optimum and no smaller
+    set passes.  ``subsets_examined`` is what a scan of each level's
+    k-subsets in lexicographic order would count: ``C(n, k)`` for a failing
+    level or an ``all_optima`` level, ``lexrank(best_set) + 1`` for the
+    level that passes.  Crossing ``budget`` raises
+    :class:`BudgetExceededError` at the level where that scan would.
 
-    The visit is a depth-first walk over prefixes (see the module
-    docstring): a node refines its parent's classes by the column of its
-    last landmark ``x``, and a leaf passes when its column is injective on
-    every class left.  A node with ``r`` landmarks left whose largest class
-    has more than ``spread ** r`` elements has no passing leaf; it is pruned
-    and adds its ``C(n - x - 1, r)`` leaves to the count, with the budget
-    checked on that jump as on every leaf.  A whole level is counted this
-    way, as ``C(n, k)``, when even the full element set is too large for
-    its free landmarks.  The walk runs once per first landmark ``s1``; for
-    doubly resolving, over the columns shifted by ``s1``.  When the matrix
-    has automorphisms and the ``s1 = 0`` walk finds nothing, the level is
-    proved to fail on the other orbit representatives if
-    ``len(representatives) * C(n - 1, k - 1) < C(n, k)`` and
-    ``examined + C(n, k) <= budget``; otherwise the walk goes on.
+    A level *fits* when ``examined + C(n, k) <= budget``; it is searched by
+    the matrix's orbits, else by the trivial partition, whose walks visit
+    the subsets in the scan's order and count them as it would.  For orbit
+    ``j = 0, 1, ...`` in turn, the walk (see the module docstring) takes its
+    least element ``r_j`` as first landmark and the elements of orbits
+    ``>= j`` as companions.  A passing set maps onto one that holds the
+    representative of the least orbit it meets, so once the walks before
+    ``j`` have found nothing, no passing set meets those orbits and every
+    element left is ``>= r_j``: the first hit is the lexicographically first
+    optimum.  With ``all_optima`` every walk runs and the hits are closed
+    under the generators.  A level whose full element set is too large for
+    its free landmarks is counted whole.
     """
     if predicate == RESOLVING:
         minimum = 1
@@ -382,31 +375,35 @@ def min_cardinality_search(
     doubly = minimum == 2
     everything = list(range(n)) if n > 1 else []  # the one class, unless a singleton
     same = [0] * len(everything)
+    symmetric = dm.orbits, dm.orbit_representatives(), dm.generators
+    trivial = range(n), range(n), ()
     examined = 0
     for k in range(k0, n + 1):
-        walk = _Walk(n, spread, budget, all_optima, k, examined)
+        level = comb(n, k)
+        fits = examined + level <= budget
+        orbits, representatives, generators = symmetric if fits else trivial
+        walk = _Walk(spread, budget, all_optima, k, examined)
+        hits: list[tuple[int, ...]] = []
         if n > spread ** (k - minimum + 1):  # the landmarks that refine are too few
-            walk.count(comb(n, k))
+            walk.count(level)
         else:
-            for s1 in range(n - k + 1):
-                if s1 == 1 and not walk.hits and _fails_on_representatives(
-                    dm, doubly, spread, k, budget - examined
-                ):
-                    walk.count(comb(n, k) - comb(n - 1, k - 1))  # the sets without 0
+            for j, first in enumerate(representatives):
+                elements = [first] + [x for x in range(first + 1, n) if orbits[x] >= j]
+                if len(elements) < k:
                     break
-                # columns before s1 are never read under s1
-                columns = [()] * s1 + _columns(dm, doubly, s1, range(s1, n))
-                if walk.descend(columns, everything, same, s1, k, (), s1 + 1):
+                walk.hits = []
+                stop = walk.descend(_columns(dm, doubly, first, elements),
+                                    everything, same, 0, k, (), 1)
+                hits += [tuple(map(elements.__getitem__, hit)) for hit in walk.hits]
+                if stop:
                     break
+        if fits:  # the scan's count, whatever the walks tested
+            walk.examined = examined + (_lexrank(hits[0], n) + 1 if hits and not all_optima
+                                        else level)
         examined = walk.examined
-        if walk.hits:
-            return SearchResult(
-                k,
-                walk.hits[0],
-                tuple(walk.hits) if all_optima else None,
-                examined,
-                time.perf_counter() - started,
-            )
+        if hits:
+            optima = _closure(hits, generators) if all_optima else None
+            return SearchResult(k, hits[0], optima, examined, time.perf_counter() - started)
     raise ValueError(
         f"no {predicate} set exists; the matrix has only {dm.n} element(s)"
     )

@@ -14,6 +14,7 @@ from edgedrs import (
     DistanceMatrix,
     Graph,
     GraphError,
+    SearchResult,
     build_graph,
     doubly_resolves,
     edge_metric_dimension,
@@ -516,7 +517,43 @@ def test_a_level_deeper_than_the_recursion_limit():
 
 
 # ---------------------------------------------------------------------------
-# failing levels proved on orbit representatives
+# the count by formula
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(search_matrices(), st.sampled_from([(RESOLVING, 1), (DOUBLY_RESOLVING, 2)]),
+       st.booleans())
+def test_subsets_examined_is_the_formula_and_the_plain_walks_count(dm, predicate_minimum,
+                                                                   all_optima):
+    predicate, minimum = predicate_minimum
+    if dm.n < minimum:
+        return
+    res = min_cardinality_search(dm, predicate, all_optima=all_optima)
+    m, k = dm.n, res.cardinality
+    below = sum(comb(m, j) for j in range(minimum, k))
+    rank = list(combinations(range(m), k)).index(res.best_set)
+    assert resolving._lexrank(res.best_set, m) == rank
+    assert res.subsets_examined == below + (comb(m, k) if all_optima else rank + 1)
+    # under the least budget that passes, the answer's level does not fit,
+    # so the walk counts its subsets itself
+    again = min_cardinality_search(dm, predicate, all_optima=all_optima,
+                                   budget=res.subsets_examined)
+    assert again == SearchResult(k, res.best_set, res.all_optima, res.subsets_examined,
+                                 again.elapsed)
+    with pytest.raises(BudgetExceededError) as info:
+        min_cardinality_search(dm, predicate, all_optima=all_optima,
+                               budget=res.subsets_examined - 1)
+    assert info.value.cardinality == k
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (5, 3), (7, 7), (9, 4)])
+def test_lexrank_counts_every_smaller_subset(n, k):
+    for rank, subset in enumerate(combinations(range(n), k)):
+        assert resolving._lexrank(subset, n) == rank
+
+
+# ---------------------------------------------------------------------------
+# levels searched by orbits
 # ---------------------------------------------------------------------------
 
 def trivial(dm):
@@ -525,22 +562,26 @@ def trivial(dm):
 
 
 def assert_symmetric_search_is_plain(dm, predicate, all_optima, budget=10**8):
-    """Same outcome with and without the automorphisms, under ``budget`` and
-    under budgets one below, at and one above the end of each failing level
-    that ends within it."""
-    def outcomes(budget):
-        return [search_outcome(m, predicate, budget=budget, all_optima=all_optima)
-                for m in (dm, trivial(dm))]
+    """Same outcome with and without the automorphisms, under ``budget``, under
+    budgets one below, at and one above the end of each failing level that
+    ends within it, and around the answer's ``subsets_examined``.  A budget
+    that covers the answer leaves the plain walk's outcome as it is (the
+    count-formula test checks that), so that walk is not run again."""
+    def outcome(m, budget):
+        return search_outcome(m, predicate, budget=budget, all_optima=all_optima)
 
-    symmetric, plain = outcomes(budget)
-    assert symmetric == plain
+    plain = outcome(trivial(dm), budget)
+    assert outcome(dm, budget) == plain
     minimum = 1 if predicate == RESOLVING else 2
+    found = plain[0] == "found"
+    budgets = {plain[-1] - 1, plain[-1], plain[-1] + 1} if found else set()
     level_end = 0
     for k in range(minimum, plain[1]):
         level_end += comb(dm.n, k)
-        for budget in (level_end - 1, level_end, level_end + 1):
-            symmetric, plain = outcomes(budget)
-            assert symmetric == plain
+        budgets |= {level_end - 1, level_end, level_end + 1}
+    for budget in budgets:
+        covered = found and budget >= plain[-1]
+        assert outcome(dm, budget) == (plain if covered else outcome(trivial(dm), budget))
 
 
 FAMILY_MATRICES = [
@@ -562,8 +603,8 @@ FAMILY_MATRICES = [
 def test_family_search_with_rotation_equals_plain_walk(spec, mode, predicate, all_optima):
     g = from_spec(spec).graph
     dm = g.line_distance_matrix if mode == "edge" else g.distance_matrix
-    if all_optima and dm.n > 30:
-        return  # the full level scans are the plain walk's, and slow
+    if all_optima and dm.n > 60:
+        return  # the plain walk scans whole levels, and slowly
     # the budget caps the few searches (vertex psi of sunlets, say) that need
     # more than 10**5 subsets; those must raise at the same level
     assert_symmetric_search_is_plain(dm, predicate, all_optima, budget=50_000)
@@ -580,21 +621,62 @@ def test_rotation_graph_search_equals_plain_walk(g, predicate, edge, all_optima)
     assert_symmetric_search_is_plain(dm, predicate, all_optima, budget=20_000)
 
 
-def test_failing_levels_are_proved_on_representatives(monkeypatch):
-    proofs = []
-    original = resolving._fails_on_representatives
+@pytest.mark.parametrize("squared_first", [False, True])
+def test_all_optima_are_closed_under_every_generator(squared_first):
+    # on the 4-prism the rotation's square alone has orbits of 2, so a
+    # closure that skips either generator misses optima
+    rotation = ring_rotation(4, 2)
+    square = tuple(rotation[x] for x in rotation)
+    g = Graph(8, make_prism(4).graph.edges,
+              [square, rotation] if squared_first else [rotation, square])
+    for dm in (g.distance_matrix, g.line_distance_matrix):
+        assert len(dm.generators) == 2
+        for predicate in (RESOLVING, DOUBLY_RESOLVING):
+            symmetric = min_cardinality_search(dm, predicate, all_optima=True)
+            plain = min_cardinality_search(trivial(dm), predicate, all_optima=True)
+            assert symmetric.all_optima == plain.all_optima
 
-    def recording(dm, doubly, spread, k, left):
-        proofs.append((doubly, k, original(dm, doubly, spread, k, left)))
-        return proofs[-1][-1]
 
-    monkeypatch.setattr(resolving, "_fails_on_representatives", recording)
-    g = from_spec("gp:12:5").graph
-    assert edge_metric_dimension(g).cardinality == psi_edge(g).cardinality == 4
-    # gp:12:5 has 36 edges in 3 rotation orbits.  Level 2 is skipped whole,
-    # level 3 is proved on the representatives, and at level 4 a set with
-    # element 0 passes, so no proof is asked for
-    assert proofs == [(False, 3, True), (True, 3, True)]
+def record_walks(monkeypatch):
+    """(level, first landmark and companions) of each walk from the top."""
+    walks = []
+    original = resolving._Walk.descend
+
+    def recording(self, columns, members, codes, start, r, prefix, stop):
+        if prefix == ():
+            walks.append((r, len(columns)))
+        return original(self, columns, members, codes, start, r, prefix, stop)
+
+    monkeypatch.setattr(resolving._Walk, "descend", recording)
+    return walks
+
+
+@pytest.mark.parametrize("search,minimum,best_set", [(edge_metric_dimension, 1, (0, 1, 4, 7)),
+                                                     (psi_edge, 2, (0, 1, 5, 15))])
+def test_each_level_walks_every_orbit_over_the_later_ones(monkeypatch, search, minimum,
+                                                          best_set):
+    walks = record_walks(monkeypatch)
+    res = search(from_spec("gp:12:5").graph)
+    # gp:12:5 has 36 edges in 3 rotation orbits of 12.  Level 2 is counted
+    # whole; level 3 walks orbit 0 over all 35 others, orbit 1 over orbits
+    # 1 and 2, orbit 2 over itself, and fails; at level 4 orbit 0 hits
+    assert walks == [(3, 36), (3, 24), (3, 12), (4, 36)]
+    assert (res.cardinality, res.best_set) == (4, best_set)
+    below = sum(comb(36, j) for j in range(minimum, 4))
+    assert res.subsets_examined == below + resolving._lexrank(best_set, 36) + 1
+
+
+def test_an_optimum_that_avoids_element_0_is_found_from_a_later_orbit(monkeypatch):
+    walks = record_walks(monkeypatch)
+    g = from_spec("gp:30:7").graph
+    res = psi_edge(g)
+    assert (res.cardinality, res.best_set) == (4, (2, 30, 84, 87))
+    assert res.subsets_examined == 418_259
+    # 90 edges in 3 orbits of 30; element 2, a spoke, is the least of orbit
+    # 1.  Level 3 fails on all three; at level 4 orbit 0 fails and orbit 1
+    # hits, so no walk of orbit 2 follows
+    assert g.line_distance_matrix.orbit_representatives() == (0, 2, 60)
+    assert walks == [(3, 90), (3, 60), (3, 30), (4, 90), (4, 60)]
 
 
 @pytest.mark.parametrize(
@@ -608,7 +690,12 @@ def test_orbit_representatives_of_the_families(spec, vertex_orbits, edge_orbits)
                        (g.line_distance_matrix, edge_orbits)):
         reps = dm.orbit_representatives()
         assert len(reps) == orbits and reps[0] == 0 and list(reps) == sorted(reps)
+        # orbits are numbered by least element and closed under the generators
+        assert [dm.orbits[r] for r in reps] == list(range(orbits))
+        assert all(reps[dm.orbits[x]] <= x for x in range(dm.n))
+        assert all(dm.orbits[p[x]] == dm.orbits[x] for p in dm.generators for x in range(dm.n))
         assert trivial(dm).orbit_representatives() == tuple(range(dm.n))
+        assert (trivial(dm).orbits, trivial(dm).generators) == (tuple(range(dm.n)), ())
 
 
 C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
