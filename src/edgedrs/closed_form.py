@@ -101,16 +101,6 @@ def base_table(family: str, n: int) -> dict[str, int]:
     return table
 
 
-def base_distance(family: str, n: int, label: str) -> int:
-    """Distance from the base edge to ``label``, straight off the base table."""
-    cls, idx = parse_label(label)
-    table = base_table(family, n)
-    try:
-        return table[f"{cls}{idx % n}"]
-    except KeyError:
-        raise InvalidLabelError(f"label {label!r} not valid for {family}:{n}") from None
-
-
 def closed_edge_distance(family: str, n: int, a: str, b: str) -> int:
     """Edge distance between two labeled edges by the closed-form rules."""
     return _rule(family, n, base_table(family, n), parse_label(a), parse_label(b))

@@ -110,17 +110,21 @@ MAX_MATRIX_SIDE = 4_000
 
 def _checked_automorphisms(
     order: int, edge_index: Mapping[Edge, int], automorphisms: Sequence[Sequence[int]]
-) -> Sequence[Sequence[int]]:
-    """``automorphisms``, each checked in O(|E|) to permute the vertices and
-    map every edge (key of ``edge_index``) to an edge, or :class:`GraphError`.
-    Such a map preserves distances and induces an automorphism of L(G)."""
+) -> list[list[int]]:
+    """Each of ``automorphisms`` as the permutation it induces on the edges (the
+    keys of ``edge_index``, in order), checked in O(|E|) to permute the vertices
+    and map every edge to an edge, or :class:`GraphError`.  Such a map
+    preserves distances, and its edge permutation is an automorphism of L(G)."""
+    induced = []
     for p in automorphisms:
         if sorted(p) != list(range(order)):
             raise GraphError(f"an automorphism must permute the {order} vertices")
-        for u, v in edge_index:
-            if canonical_edge(p[u], p[v]) not in edge_index:
-                raise GraphError(f"a vertex permutation maps edge {(u, v)} to a non-edge")
-    return automorphisms
+        images = [edge_index.get(canonical_edge(p[u], p[v])) for u, v in edge_index]
+        if None in images:
+            edge = list(edge_index)[images.index(None)]
+            raise GraphError(f"a vertex permutation maps edge {edge} to a non-edge")
+        induced.append(images)
+    return induced
 
 
 class Graph:
@@ -174,10 +178,6 @@ class Graph:
             raise EdgeNotInGraphError(f"edge {e} is not in the graph") from None
 
     @cached_property
-    def is_connected(self) -> bool:
-        return all(d >= 0 for d in _bfs_row(self.adjacency, 0))
-
-    @cached_property
     def distance_matrix(self) -> DistanceMatrix:
         """BFS from the least element of each orbit of the automorphisms, the
         orbits numbered in that order; a generator ``p`` fills row ``p(x)`` with
@@ -185,11 +185,10 @@ class Graph:
         if self.order > MAX_MATRIX_SIDE:
             raise GraphError(f"a distance matrix over {self.order} elements "
                              f"exceeds the maximum of {MAX_MATRIX_SIDE}")
-        generators = _checked_automorphisms(self.order, self._edge_index,
-                                            self.automorphisms)
+        _checked_automorphisms(self.order, self._edge_index, self.automorphisms)
         # p^-1 lists the x sorted by p(x)
         readers = [(p, itemgetter(*sorted(range(self.order), key=p.__getitem__)))
-                   for p in generators]
+                   for p in self.automorphisms]
         rows: list = [None] * self.order
         orbits = [-1] * self.order
         j = -1
@@ -210,7 +209,7 @@ class Graph:
                     if orbits[y] < 0:
                         rows[y], orbits[y] = read(rows[x]), j
                         orbit.append(y)
-        return DistanceMatrix(rows, orbits, generators)
+        return DistanceMatrix(rows, orbits, self.automorphisms)
 
     @cached_property
     def line_map(self) -> "LineGraphMap":
@@ -237,22 +236,6 @@ class LineGraphMap:
     graph: Graph
 
 
-def build_graph(
-    order: int,
-    edge_list: Iterable[tuple[int, int]],
-    require_connected: bool = False,
-) -> Graph:
-    """Validate and build a graph; optionally reject disconnected input.
-
-    Metric operations assume connectivity, so callers that will take
-    distances should pass ``require_connected=True`` to fail early.
-    """
-    g = Graph(order, edge_list)
-    if require_connected and not g.is_connected:
-        raise DisconnectedError("graph is disconnected")
-    return g
-
-
 def line_graph(g: Graph) -> LineGraphMap:
     """Build the line graph of ``g``.
 
@@ -270,17 +253,8 @@ def line_graph(g: Graph) -> LineGraphMap:
     for ids in incident:
         # edge ids in `ids` are ascending, so combinations are canonical
         line_edges.update(combinations(ids, 2))
-    index = g._edge_index
-    induced = [[index[canonical_edge(p[u], p[v])] for u, v in g.edges]
-               for p in _checked_automorphisms(g.order, index, g.automorphisms)]
+    induced = _checked_automorphisms(g.order, g._edge_index, g.automorphisms)
     return LineGraphMap(g.edges, Graph(len(g.edges), sorted(line_edges), induced))
-
-
-def edge_distance(g: Graph, f: tuple[int, int], h: tuple[int, int]) -> int:
-    """Distance between two edges of ``g`` measured in its line graph."""
-    i = g.edge_index(f)
-    j = g.edge_index(h)
-    return g.line_distance_matrix[i][j]
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ resolving, ``2 diam + 1`` for the shifted columns of doubly resolving.  So
 ``r`` more landmarks split a class into at most ``spread ** r`` parts, and
 a prefix with a larger class has no passing subset below it.  Such a prefix
 is skipped and its ``C(n - x - 1, r)`` subsets (``x`` its last landmark) are
-counted by arithmetic, which keeps ``subsets_examined`` and the level at
-which the budget runs out what a subset-by-subset scan would give.
+counted by arithmetic, so the walk's count bounds its work.
 
 Both predicates read only distances, so an automorphism of the matrix maps
 passing sets to passing sets (McKay, J. Algorithms 26, 1998).  A level is
@@ -66,7 +65,8 @@ class BudgetExceededError(Exception):
         )
         self.budget = budget
         self.cardinality = cardinality
-        self.examined = examined  # pruned subsets included
+        # the scan's count, or the walk's if the walk crossed the budget first
+        self.examined = examined
 
 
 @dataclass(frozen=True)
@@ -119,16 +119,6 @@ def _check_landmarks(dm: DistanceMatrix, landmarks: Sequence[int], minimum: int)
         raise ValueError("landmark elements must be distinct")
     for x in landmarks:
         _check_element(dm, x)
-
-
-def representation(
-    dm: DistanceMatrix, element: int, landmarks: Sequence[int]
-) -> tuple[int, ...]:
-    """Coordinate vector of ``element``: its distance to each landmark in order."""
-    _check_element(dm, element)
-    _check_landmarks(dm, landmarks, 1)
-    row = dm[element]
-    return tuple(row[x] for x in landmarks)
 
 
 def _shifted_columns(
@@ -286,19 +276,17 @@ class _Walk:
             (itemgetter(*group), len(group))
             for group in sorted(_collisions(members, codes), key=len, reverse=True)
         ]
-        counted = start
         for x in range(start, stop):
             column = columns[x]
             for get, size in checks:
                 if len(set(get(column))) != size:
                     break
             else:
-                self.count(x + 1 - counted)
-                counted = x + 1
                 self.hits.append(prefix + (x,))
                 if not self.all_optima:
+                    self.count(x + 1 - start)
                     return True
-        self.count(stop - counted)
+        self.count(stop - start)
         return False
 
 
@@ -344,21 +332,24 @@ def min_cardinality_search(
     set passes.  ``subsets_examined`` is what a scan of each level's
     k-subsets in lexicographic order would count: ``C(n, k)`` for a failing
     level or an ``all_optima`` level, ``lexrank(best_set) + 1`` for the
-    level that passes.  Crossing ``budget`` raises
-    :class:`BudgetExceededError` at the level where that scan would.
+    level that passes.  When that count crosses ``budget``,
+    :class:`BudgetExceededError` is raised at the level where the scan
+    would raise it.
 
-    A level *fits* when ``examined + C(n, k) <= budget``; it is searched by
-    the matrix's orbits, else by the trivial partition, whose walks visit
-    the subsets in the scan's order and count them as it would.  For orbit
-    ``j = 0, 1, ...`` in turn, the walk (see the module docstring) takes its
-    least element ``r_j`` as first landmark and the elements of orbits
+    Every level is walked by the matrix's orbits; a matrix without
+    generators, such as a ``file:`` graph's, has one orbit per element.  For
+    orbit ``j = 0, 1, ...`` in turn, the walk (see the module docstring) takes
+    its least element ``r_j`` as first landmark and the elements of orbits
     ``>= j`` as companions.  A passing set maps onto one that holds the
     representative of the least orbit it meets, so once the walks before
     ``j`` have found nothing, no passing set meets those orbits and every
     element left is ``>= r_j``: the first hit is the lexicographically first
-    optimum.  With ``all_optima`` every walk runs and the hits are closed
-    under the generators.  A level whose full element set is too large for
-    its free landmarks is counted whole.
+    optimum.  The walks count distinct subsets, each before the first hit in
+    the scan's order, so their count never exceeds the scan's; it bounds
+    their work and raises as soon as it crosses ``budget``.  With
+    ``all_optima`` every walk runs and the hits are closed under the
+    generators.  A level whose full element set is too large for its free
+    landmarks is counted whole, with no walk.
     """
     if predicate == RESOLVING:
         minimum = 1
@@ -375,18 +366,12 @@ def min_cardinality_search(
     doubly = minimum == 2
     everything = list(range(n)) if n > 1 else []  # the one class, unless a singleton
     same = [0] * len(everything)
-    symmetric = dm.orbits, dm.orbit_representatives(), dm.generators
-    trivial = range(n), range(n), ()
+    orbits, representatives = dm.orbits, dm.orbit_representatives()
     examined = 0
     for k in range(k0, n + 1):
-        level = comb(n, k)
-        fits = examined + level <= budget
-        orbits, representatives, generators = symmetric if fits else trivial
         walk = _Walk(spread, budget, all_optima, k, examined)
         hits: list[tuple[int, ...]] = []
-        if n > spread ** (k - minimum + 1):  # the landmarks that refine are too few
-            walk.count(level)
-        else:
+        if n <= spread ** (k - minimum + 1):  # else the landmarks that refine are too few
             for j, first in enumerate(representatives):
                 elements = [first] + [x for x in range(first + 1, n) if orbits[x] >= j]
                 if len(elements) < k:
@@ -397,12 +382,12 @@ def min_cardinality_search(
                 hits += [tuple(map(elements.__getitem__, hit)) for hit in walk.hits]
                 if stop:
                     break
-        if fits:  # the scan's count, whatever the walks tested
-            walk.examined = examined + (_lexrank(hits[0], n) + 1 if hits and not all_optima
-                                        else level)
-        examined = walk.examined
+        # the scan's count, whatever the walks tested
+        examined += _lexrank(hits[0], n) + 1 if hits and not all_optima else comb(n, k)
+        if examined > budget:
+            raise BudgetExceededError(budget, k, examined)
         if hits:
-            optima = _closure(hits, generators) if all_optima else None
+            optima = _closure(hits, dm.generators) if all_optima else None
             return SearchResult(k, hits[0], optima, examined, time.perf_counter() - started)
     raise ValueError(
         f"no {predicate} set exists; the matrix has only {dm.n} element(s)"
@@ -504,11 +489,3 @@ def labels_doubly_resolve_pair(
     lm = lg.line_indices(landmark_labels)
     u, v = lg.line_indices(pair)
     return any(doubly_resolves(dm, lm[0], x, u, v) for x in lm[1:])
-
-
-def witness_labels(lg: LabeledGraph, report: ResolveReport) -> tuple[str, str] | None:
-    """Translate a line-graph witness pair back to edge labels."""
-    if report.witness is None:
-        return None
-    u, v = report.witness
-    return lg.label_of_line_index(u), lg.label_of_line_index(v)

@@ -293,7 +293,7 @@ def test_family_specs_above_the_order_cap_are_argument_errors(capsys, spec):
 
 @pytest.mark.parametrize("spec", ["gp:10:3", "sunlet:7", "prism:6"])
 def test_file_graph_output_matches_the_family_graph(tmp_path, capsys, spec):
-    # a file graph has no automorphisms, so it runs the plain walk
+    # a file graph has no automorphisms: every element is its own orbit
     path = tmp_path / "g.json"
     assert run(["generate", "--graph", spec, "--out", str(path)]) == 0
     capsys.readouterr()

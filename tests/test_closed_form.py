@@ -9,12 +9,10 @@ from edgedrs import (
     CoordinateTable,
     FamilyParameterError,
     InvalidLabelError,
-    base_distance,
     base_table,
     closed_edge_distance,
     coordinate_rows_distinct,
     coordinate_table,
-    edge_distance,
     make_prism,
     make_sunlet,
     reference_landmarks,
@@ -24,7 +22,7 @@ import edgedrs.closed_form as closed_form
 
 
 def bfs_edge_distance(lg, a, b):
-    return edge_distance(lg.graph, lg.edge_of(a), lg.edge_of(b))
+    return lg.graph.line_distance_matrix[lg.line_index(a)][lg.line_index(b)]
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +30,9 @@ def bfs_edge_distance(lg, a, b):
 # ---------------------------------------------------------------------------
 
 def test_base_distance_examples():
-    assert base_distance("sunlet", 8, "f4") == 4
-    assert base_distance("sunlet", 9, "f4") == 5
-    assert base_distance("prism", 7, "g3") == 4
+    assert base_table("sunlet", 8)["f4"] == 4
+    assert base_table("sunlet", 9)["f4"] == 5
+    assert base_table("prism", 7)["g3"] == 4
 
 
 def test_base_table_covers_all_edges():
@@ -102,7 +100,7 @@ def test_invalid_labels():
     with pytest.raises(InvalidLabelError):
         closed_edge_distance("prism", 8, "x0", "e0")
     with pytest.raises(InvalidLabelError):
-        base_distance("sunlet", 8, "e")
+        closed_form.parse_label("e")
 
 
 @pytest.mark.parametrize("family,ns", [("sunlet", (4, 7, 12, 15)), ("prism", (6, 9, 14, 17))])

@@ -14,9 +14,7 @@ from edgedrs import (
     GraphError,
     LoopEdgeError,
     VertexOutOfRangeError,
-    build_graph,
     canonical_edge,
-    edge_distance,
     from_spec,
     graph_from_json_dict,
     graph_to_dot,
@@ -40,50 +38,48 @@ from conftest import (
 
 
 def test_build_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.order == 3
     assert g.size == 3
     assert g.edges == ((0, 1), (0, 2), (1, 2))
 
 
 def test_build_single_edge():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert (g.order, g.size) == (2, 1)
 
 
 def test_canonicalization_sorts_endpoints_and_edges():
-    g = build_graph(4, [(3, 2), (1, 0), (2, 0)])
+    g = Graph(4, [(3, 2), (1, 0), (2, 0)])
     assert g.edges == ((0, 1), (0, 2), (2, 3))
     assert g.edge_index((3, 2)) == 2
 
 
 def test_rejects_loop():
     with pytest.raises(LoopEdgeError):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(LoopEdgeError):
         canonical_edge(2, 2)
 
 
 def test_rejects_duplicate_edge():
     with pytest.raises(DuplicateEdgeError):
-        build_graph(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
 
 
 def test_rejects_out_of_range_vertex():
     with pytest.raises(VertexOutOfRangeError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(VertexOutOfRangeError):
-        build_graph(3, [(-1, 1)])
+        Graph(3, [(-1, 1)])
 
 
 def test_disconnected_rejected_in_metric_mode():
-    edges = [(0, 1), (2, 3)]
-    g = build_graph(4, edges)
-    assert not g.is_connected
-    with pytest.raises(DisconnectedError):
-        build_graph(4, edges, require_connected=True)
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedError):
         g.distance_matrix
+    with pytest.raises(DisconnectedError):
+        g.line_distance_matrix
 
 
 def test_adjacency_symmetric_and_loop_free():
@@ -99,7 +95,7 @@ def test_adjacency_symmetric_and_loop_free():
 # ---------------------------------------------------------------------------
 
 def test_line_graph_of_triangle_is_triangle():
-    lm = line_graph(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    lm = line_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert lm.graph.order == 3
     assert lm.graph.edges == ((0, 1), (0, 2), (1, 2))
 
@@ -110,7 +106,7 @@ def test_line_graph_of_cycle_is_cycle(n):
     assert lm.graph.order == n
     assert lm.graph.size == n
     assert all(lm.graph.degree(v) == 2 for v in range(n))
-    assert lm.graph.is_connected
+    assert len(frontier_bfs(lm.graph.adjacency, 0)) == n
 
 
 def test_line_graph_size_of_sunlet_8():
@@ -153,15 +149,20 @@ def test_line_graph_matches_pairwise_construction(g):
 # ---------------------------------------------------------------------------
 
 def test_path_distance():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert g.distance_matrix[0][2] == 2
 
 
 def test_triangle_distances_all_one():
-    dm = build_graph(3, [(0, 1), (1, 2), (0, 2)]).distance_matrix
+    dm = Graph(3, [(0, 1), (1, 2), (0, 2)]).distance_matrix
     for i in range(3):
         for j in range(3):
             assert dm[i][j] == (0 if i == j else 1)
+
+
+def edge_distance(g, f, h):
+    """Distance between two edges of ``g``, read off its line graph's matrix."""
+    return g.line_distance_matrix[g.edge_index(f)][g.edge_index(h)]
 
 
 def test_sunlet8_line_distance_e0_e4():
@@ -328,7 +329,7 @@ def test_json_round_trip_with_labels():
 
 
 def test_json_round_trip_without_labels():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     g2, labels2 = graph_from_json_dict(graph_to_json_dict(g))
     assert g2.edges == g.edges
     assert labels2 is None

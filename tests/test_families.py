@@ -5,7 +5,6 @@ import pytest
 from edgedrs import (
     FamilyParameterError,
     GraphSpecError,
-    edge_distance,
     from_spec,
     load_graph_file,
     make_cycle,
@@ -19,7 +18,7 @@ from conftest import cartesian_product, dm_row_multiset, girth
 
 
 def edist(lg, a, b):
-    return edge_distance(lg.graph, lg.edge_of(a), lg.edge_of(b))
+    return lg.graph.line_distance_matrix[lg.line_index(a)][lg.line_index(b)]
 
 
 def line_partition(lg, base):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgedrs import (
+    DEFAULT_BUDGET,
     DOUBLY_RESOLVING,
     RESOLVING,
     BudgetExceededError,
@@ -15,7 +16,6 @@ from edgedrs import (
     Graph,
     GraphError,
     SearchResult,
-    build_graph,
     doubly_resolves,
     edge_metric_dimension,
     from_spec,
@@ -32,8 +32,6 @@ from edgedrs import (
     min_cardinality_search,
     psi,
     psi_edge,
-    representation,
-    witness_labels,
 )
 
 import edgedrs.resolving as resolving
@@ -54,12 +52,17 @@ from conftest import (
 )
 
 
-K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
 # ---------------------------------------------------------------------------
 # representation
 # ---------------------------------------------------------------------------
+
+def representation(dm, element, landmarks):
+    """Coordinate vector of ``element``: its distance to each landmark in order."""
+    return tuple(dm[element][x] for x in landmarks)
+
 
 def test_representation_zero_at_self():
     dm = K3.distance_matrix
@@ -83,9 +86,13 @@ def test_representation_prism8_table_row():
 def test_representation_validates_indices():
     dm = K3.distance_matrix
     with pytest.raises(IndexError):
-        representation(dm, 5, (0,))
+        is_resolving(dm, (5,))
+    with pytest.raises(IndexError):
+        is_resolving(dm, (0, -1))
     with pytest.raises(ValueError):
-        representation(dm, 0, ())
+        is_resolving(dm, ())
+    with pytest.raises(ValueError):
+        is_resolving(dm, (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +133,7 @@ def test_sunlet4_line_pair_e0_e1_checked_by_brute_force():
 
 def test_resolving_witness_is_lexicographically_first():
     # representations wrt a single landmark on a star collide heavily
-    star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     report = is_resolving(star.distance_matrix, (0,))
     assert report.witness == (1, 2)
 
@@ -171,8 +178,7 @@ def test_sunlet8_pair_e0_e2_fails_with_confirmed_pair():
     assert not report.ok
     # the claimed blind pair for this family of sets is {e0, e7}
     assert not labels_doubly_resolve_pair(s, ("e0", "e2"), ("e0", "e7"))
-    labels = witness_labels(s, report)
-    assert labels is not None
+    labels = tuple(map(s.label_of_line_index, report.witness))
     assert not labels_doubly_resolve_pair(s, ("e0", "e2"), labels)
 
 
@@ -230,9 +236,9 @@ def test_gp_5_2_edge_invariants():
 
 def test_psi_requires_enough_elements():
     with pytest.raises(ValueError):
-        psi(build_graph(1, []))
+        psi(Graph(1, []))
     with pytest.raises(ValueError):
-        psi_edge(build_graph(2, [(0, 1)]))
+        psi_edge(Graph(2, [(0, 1)]))
 
 
 def test_budget_exceeded():
@@ -496,7 +502,7 @@ def test_pruned_jump_that_crosses_the_budget_raises(monkeypatch):
     # classes.  Level 1 is pruned whole (6 elements > 3); at level 2 the
     # centre's column leaves the 5 outer vertices in one class (> 3), so the
     # five subsets (0, x) are one jump: 6 + 5 = 11 > 8 crosses the budget.
-    dm = build_graph(6, [(0, i) for i in range(1, 6)]).distance_matrix
+    dm = Graph(6, [(0, i) for i in range(1, 6)]).distance_matrix
 
     def no_leaf_is_tested(*args):
         raise AssertionError("the budget should run out on a pruned jump")
@@ -534,8 +540,8 @@ def test_subsets_examined_is_the_formula_and_the_plain_walks_count(dm, predicate
     rank = list(combinations(range(m), k)).index(res.best_set)
     assert resolving._lexrank(res.best_set, m) == rank
     assert res.subsets_examined == below + (comb(m, k) if all_optima else rank + 1)
-    # under the least budget that passes, the answer's level does not fit,
-    # so the walk counts its subsets itself
+    # the least budget that passes is the count itself, though the answer's
+    # level may hold more subsets than that budget leaves
     again = min_cardinality_search(dm, predicate, all_optima=all_optima,
                                    budget=res.subsets_examined)
     assert again == SearchResult(k, res.best_set, res.all_optima, res.subsets_examined,
@@ -557,7 +563,8 @@ def test_lexrank_counts_every_smaller_subset(n, k):
 # ---------------------------------------------------------------------------
 
 def trivial(dm):
-    """The same distances with no automorphisms: the plain walk."""
+    """The same distances with no automorphisms: one orbit per element, so
+    the walks visit each level's subsets in the scan's order."""
     return DistanceMatrix(dm.rows)
 
 
@@ -565,8 +572,8 @@ def assert_symmetric_search_is_plain(dm, predicate, all_optima, budget=10**8):
     """Same outcome with and without the automorphisms, under ``budget``, under
     budgets one below, at and one above the end of each failing level that
     ends within it, and around the answer's ``subsets_examined``.  A budget
-    that covers the answer leaves the plain walk's outcome as it is (the
-    count-formula test checks that), so that walk is not run again."""
+    that covers the answer leaves the trivial matrix's outcome as it is (the
+    count-formula test checks that), so that search is not run again."""
     def outcome(m, budget):
         return search_outcome(m, predicate, budget=budget, all_optima=all_optima)
 
@@ -604,7 +611,7 @@ def test_family_search_with_rotation_equals_plain_walk(spec, mode, predicate, al
     g = from_spec(spec).graph
     dm = g.line_distance_matrix if mode == "edge" else g.distance_matrix
     if all_optima and dm.n > 60:
-        return  # the plain walk scans whole levels, and slowly
+        return  # with one orbit per element, whole levels are walked, and slowly
     # the budget caps the few searches (vertex psi of sunlets, say) that need
     # more than 10**5 subsets; those must raise at the same level
     assert_symmetric_search_is_plain(dm, predicate, all_optima, budget=50_000)
@@ -669,14 +676,18 @@ def test_each_level_walks_every_orbit_over_the_later_ones(monkeypatch, search, m
 def test_an_optimum_that_avoids_element_0_is_found_from_a_later_orbit(monkeypatch):
     walks = record_walks(monkeypatch)
     g = from_spec("gp:30:7").graph
-    res = psi_edge(g)
-    assert (res.cardinality, res.best_set) == (4, (2, 30, 84, 87))
-    assert res.subsets_examined == 418_259
     # 90 edges in 3 orbits of 30; element 2, a spoke, is the least of orbit
     # 1.  Level 3 fails on all three; at level 4 orbit 0 fails and orbit 1
-    # hits, so no walk of orbit 2 follows
+    # hits, so no walk of orbit 2 follows.  Under the search's own count as
+    # budget, level 4's C(90, 4) subsets are more than the budget left, and
+    # the level is walked by orbits all the same
     assert g.line_distance_matrix.orbit_representatives() == (0, 2, 60)
-    assert walks == [(3, 90), (3, 60), (3, 30), (4, 90), (4, 60)]
+    for budget in (DEFAULT_BUDGET, 418_259):
+        walks.clear()
+        res = psi_edge(g, budget=budget)
+        assert (res.cardinality, res.best_set) == (4, (2, 30, 84, 87))
+        assert res.subsets_examined == 418_259
+        assert walks == [(3, 90), (3, 60), (3, 30), (4, 90), (4, 60)]
 
 
 @pytest.mark.parametrize(
