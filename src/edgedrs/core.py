@@ -12,7 +12,6 @@ cleverer storage, and a matrix side is capped at :data:`MAX_MATRIX_SIDE`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
@@ -212,36 +211,22 @@ class Graph:
         return DistanceMatrix(rows, orbits, self.automorphisms)
 
     @cached_property
-    def line_map(self) -> "LineGraphMap":
+    def line_graph(self) -> "Graph":
         return line_graph(self)
 
     @cached_property
     def line_distance_matrix(self) -> DistanceMatrix:
-        return self.line_map.graph.distance_matrix
+        return self.line_graph.distance_matrix
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, size={self.size})"
 
 
-@dataclass(frozen=True)
-class LineGraphMap:
-    """A line graph plus the canonical edge order it was built from.
-
-    ``graph`` has one vertex per edge of the base graph, vertex ``i``
-    standing for ``base_edges[i]``; two vertices are adjacent exactly when
-    the corresponding base edges share an endpoint.
-    """
-
-    base_edges: tuple[Edge, ...]
-    graph: Graph
-
-
-def line_graph(g: Graph) -> LineGraphMap:
+def line_graph(g: Graph) -> Graph:
     """Build the line graph of ``g``.
 
-    Vertices of the result are the edges of ``g`` in canonical order; an
-    adjacency means the two base edges share exactly one endpoint (a simple
-    graph cannot share two).
+    Vertex ``i`` of the result is ``g.edges[i]``; an adjacency means the two
+    base edges share exactly one endpoint (a simple graph cannot share two).
     """
     if not g.edges:
         raise EmptyEdgeSetError("line graph of an edgeless graph is undefined")
@@ -254,7 +239,7 @@ def line_graph(g: Graph) -> LineGraphMap:
         # edge ids in `ids` are ascending, so combinations are canonical
         line_edges.update(combinations(ids, 2))
     induced = _checked_automorphisms(g.order, g._edge_index, g.automorphisms)
-    return LineGraphMap(g.edges, Graph(len(g.edges), sorted(line_edges), induced))
+    return Graph(len(g.edges), sorted(line_edges), induced)
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +314,13 @@ def graph_to_dot(
     return "\n".join(lines) + "\n"
 
 
-def line_graph_to_dot(
-    lm: LineGraphMap,
-    name: str = "L",
-    edge_labels: Mapping[Edge, str] | None = None,
-) -> str:
-    """Render a line graph in DOT format; vertices carry base-edge names."""
-    labels = edge_labels or {}
-    names = [_dot_id(labels.get(e, f"{e[0]}-{e[1]}")) for e in lm.base_edges]
+def line_graph_to_dot(line: Graph, names: Sequence[str], name: str = "L") -> str:
+    """Render a line graph in DOT format, vertex ``i`` named ``names[i]``."""
+    ids = [_dot_id(v) for v in names]
     lines = [f"graph {_dot_id(name)} {{"]
-    for v in names:
+    for v in ids:
         lines.append(f"  {v};")
-    for a, b in lm.graph.edges:
-        lines.append(f"  {names[a]} -- {names[b]};")
+    for a, b in line.edges:
+        lines.append(f"  {ids[a]} -- {ids[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

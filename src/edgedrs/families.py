@@ -111,7 +111,8 @@ class LabeledGraph:
         return graph_to_dot(self.graph, self.family, self._by_edge)
 
     def line_to_dot(self) -> str:
-        return line_graph_to_dot(self.graph.line_map, f"L({self.family})", self._by_edge)
+        return line_graph_to_dot(self.graph.line_graph, self.line_label_order(),
+                                 f"L({self.family})")
 
 
 def _labeled(graph: Graph, family: str, labels: dict[str, Edge]) -> LabeledGraph:

@@ -177,21 +177,18 @@ def coordinate_check(family: str, n: int) -> CheckResult:
     )
 
 
-def sweep_check(
-    family: str, ns: Sequence[int], quantity: str, budget: int | None = None
-) -> CheckResult:
+def sweep_check(family: str, ns: Sequence[int], quantity: str) -> CheckResult:
     """Exact dim_E / psi_E values against the expected closed-form answers."""
     rows = []
     ok = True
-    kwargs = {} if budget is None else {"budget": budget}
     make = make_sunlet if family == SUNLET else make_prism
     for n in ns:
         g = make(n).graph
         if quantity == "dim_edge":
-            got = edge_metric_dimension(g, **kwargs).cardinality
+            got = edge_metric_dimension(g).cardinality
             want = 3 if (family == PRISM or n % 2) else 2
         else:
-            got = psi_edge(g, **kwargs).cardinality
+            got = psi_edge(g).cardinality
             want = 3
         match = got == want
         ok = ok and match

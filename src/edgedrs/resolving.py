@@ -19,9 +19,11 @@ lexicographically first pair of elements with the same image.
 
 The exact search visits the k-subsets in lexicographic order as a
 depth-first walk over prefixes.  A prefix carries the non-singleton classes
-of its coordinate map; appending landmark ``x`` refines every class by
-column ``x``, so a prefix's work is shared by all subsets below it, and a
-full subset passes when its last column is injective on every class left.
+of its coordinate map as integer codes; appending landmark ``x`` refines
+every class by column ``x`` (:func:`_refinements`), so a prefix's work is
+shared by all subsets below it, and a full subset passes when its last
+column is injective on every class left.  The greedy upper bound refines
+the same coded classes, one chosen landmark at a time.
 A column takes at most ``spread`` values on a class: ``diam + 1`` for
 resolving, ``2 diam + 1`` for the shifted columns of doubly resolving.  So
 ``r`` more landmarks split a class into at most ``spread ** r`` parts, and
@@ -180,15 +182,38 @@ def is_doubly_resolving(dm: DistanceMatrix, landmarks: Sequence[int]) -> Resolve
 # Exact search
 # ---------------------------------------------------------------------------
 
+def _spread(dm: DistanceMatrix, doubly: bool) -> int:
+    """The most values a column takes: ``diam + 1``, or ``2 diam + 1`` shifted."""
+    width = max(map(max, dm.rows)) - min(map(min, dm.rows)) if dm.n else 0
+    return 2 * width + 1 if doubly else width + 1
+
+
+def _refinements(columns: Sequence[Sequence[int]], members: list[int], codes: list[int],
+                 spread: int, candidates):
+    """Per candidate ``x``: ``x``, the class codes of ``members`` refined by
+    column ``x``, and the count of each refined code.  A code is a coordinate
+    vector read in base ``spread``, so refining appends a digit: code times
+    ``spread`` plus the column value.  ``members`` come in classes of two or
+    more, so ``itemgetter(*members)`` returns a tuple unless there are none.
+    """
+    pick = itemgetter(*members) if members else lambda column: ()
+    scaled = [c * spread for c in codes]
+    for x in candidates:
+        refined = list(map(add, scaled, pick(columns[x])))
+        yield x, refined, Counter(refined)
+
+
+def _kept(members: list[int], refined: list[int], sizes: Counter) -> tuple[list, list]:
+    """The members left in refined classes of two or more, and their codes."""
+    kept = [i for i, c in enumerate(refined) if sizes[c] > 1]
+    return [members[i] for i in kept], [refined[i] for i in kept]
+
+
 class _Walk:
     """Depth-first walk over the k-subsets of one level, in lexicographic order.
 
-    A node is a prefix of landmarks.  It carries the elements of the
-    non-singleton classes of the coordinate map over the prefix
-    (``members``) and each one's class as a code: its coordinate vector
-    read as a number in base ``spread``.  Every class has two or more
-    members, so ``itemgetter(*members)`` returns a tuple unless there are
-    none.
+    A node is a prefix of landmarks.  It carries the members of the
+    non-singleton classes of its coordinate map and their codes.
     """
 
     def __init__(self, spread: int, budget: int, all_optima: bool, k: int, examined: int):
@@ -224,42 +249,27 @@ class _Walk:
         if r == 1:
             return self.leaves(columns, members, codes, start, prefix, stop)
         n = len(columns)
-        stack = [self.frame(members, codes, start, r, prefix, min(stop, n - r + 1))]
+        stack = [(members, prefix, r, _refinements(columns, members, codes, self.spread,
+                                                   range(start, min(stop, n - r + 1))))]
         while stack:
-            candidates, pick, scaled, members, r, prefix = stack[-1]
+            members, prefix, r, frame = stack[-1]
             bound = self.spread ** (r - 1)
-            for x in candidates:  # resumes where the frame's last child left off
-                refined = list(map(add, scaled, pick(columns[x])))
-                sizes = Counter(refined)
+            for x, refined, sizes in frame:  # resumes where the frame's last child left off
                 if refined and max(sizes.values()) > bound:
                     # no completion can split the largest class: count its leaves
                     self.count(comb(n - x - 1, r - 1))
                     continue
-                kept = [i for i, c in enumerate(refined) if sizes[c] > 1]
-                members_x = [members[i] for i in kept]
-                codes_x = [refined[i] for i in kept]
+                members_x, codes_x = _kept(members, refined, sizes)
                 if r == 2:
                     if self.leaves(columns, members_x, codes_x, x + 1, prefix + (x,), n):
                         return True
                 else:
-                    child = self.frame(members_x, codes_x, x + 1, r - 1, prefix + (x,),
-                                       n - r + 2)
-                    stack.append(child)
+                    stack.append((members_x, prefix + (x,), r - 1, _refinements(
+                        columns, members_x, codes_x, self.spread, range(x + 1, n - r + 2))))
                     break
             else:
                 stack.pop()
         return False
-
-    def frame(
-        self, members: list[int], codes: list[int], start: int, r: int,
-        prefix: tuple[int, ...], stop: int,
-    ) -> tuple:
-        """A node on the stack: its untried next landmarks, those below
-        ``stop`` (where ``r`` of them still fit), and its classes."""
-        pick = itemgetter(*members) if members else lambda column: ()
-        scaled = [c * self.spread for c in codes]  # a child adds its column value
-        landmarks = iter(range(start, stop))
-        return landmarks, pick, scaled, members, r, prefix
 
     def leaves(
         self,
@@ -360,10 +370,8 @@ def min_cardinality_search(
     n = dm.n
     k0 = max(minimum, start_k if start_k is not None else minimum)
     started = time.perf_counter()
-    # A column takes at most ``width + 1`` values, a shifted one ``2 width + 1``.
-    width = max(map(max, dm.rows)) - min(map(min, dm.rows)) if n else 0
-    spread = width + 1 if minimum == 1 else 2 * width + 1
     doubly = minimum == 2
+    spread = _spread(dm, doubly)
     everything = list(range(n)) if n > 1 else []  # the one class, unless a singleton
     same = [0] * len(everything)
     orbits, representatives = dm.orbits, dm.orbit_representatives()
@@ -426,39 +434,30 @@ def greedy_doubly_resolving(dm: DistanceMatrix) -> tuple[int, ...]:
     """Set-cover style heuristic: a doubly resolving set, pruned to minimality.
 
     Seeded with element 0, the still-constant pairs are the pairs inside one
-    class of the shifted map over the chosen landmarks.  Each step adds the
-    landmark whose column cuts the most of those pairs, i.e. lowers
-    sum C(|class|, 2) the most (ties to the lowest index); then single-element
-    removals that keep the set valid are applied.  The result always passes
+    class of the shifted map over the chosen landmarks, coded and refined as
+    in the exact walk (:func:`_refinements`).  Each step adds the landmark
+    whose column cuts the most of those pairs, i.e. lowers sum C(|class|, 2)
+    the most (ties to the lowest index); then single-element removals that
+    keep the set valid are applied.  The result always passes
     :func:`is_doubly_resolving`; it is an upper bound for the exact optimum.
     """
     n = dm.n
     if n < 2:
         raise ValueError("need at least 2 elements")
     columns = _shifted_columns(dm, 0, range(n))
-
-    def split(classes: list[list[int]], column: tuple[int, ...]) -> list[list[int]]:
-        return [
-            group
-            for members in classes
-            for group in _collisions(members, (column[w] for w in members))
-        ]
-
-    def pairs(classes: list[list[int]]) -> int:
-        return sum(len(c) * (len(c) - 1) // 2 for c in classes)
-
+    spread = _spread(dm, True)
     chosen = [0]
-    classes = [list(range(n))]
-    while classes:
-        best_x = -1
-        best_left = pairs(classes)
-        for x in range(n):
-            left = pairs(split(classes, columns[x]))
-            if left < best_left:
-                best_x, best_left = x, left
-        assert best_x >= 0, "greedy stalled; full element set must resolve"
-        chosen.append(best_x)
-        classes = split(classes, columns[best_x])
+    members, codes = list(range(n)), [0] * n
+    pairs = n * (n - 1)  # twice the constant pairs, as is ``left``
+    while members:
+        left, x, refined, sizes = min(
+            (sum(c * (c - 1) for c in sizes.values()), x, refined, sizes)
+            for x, refined, sizes in _refinements(columns, members, codes, spread, range(n))
+        )
+        assert left < pairs, "greedy stalled; full element set must resolve"
+        chosen.append(x)
+        pairs = left
+        members, codes = _kept(members, refined, sizes)
     result = sorted(chosen)
     for x in list(result):
         if len(result) > 2:

@@ -228,7 +228,7 @@ def test_criterion_10_edge_versions_match_line_graph_dispatch():
         for k in range(1, (n - 1) // 2 + 1)
     ]
     for g in instances:
-        line = line_graph(g).graph
+        line = line_graph(g)
         assert (
             edge_metric_dimension(g).cardinality
             == metric_dimension(line).cardinality

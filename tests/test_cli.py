@@ -338,6 +338,12 @@ GOLDEN_STDOUT = [
      "c4e62da8e06acb371c9ed47c46d58ecd44b22ea93fbbcd76465522f4bb409bbe"),
     (["psi", "--graph", "gp:10:3", "--no-timing", "--json"],
      "0e001e01160c0a30486b25436c5364bde46343ca1483e940d5484cbaf869938d"),
+    (["psi", "--graph", "gp:16:7", "--mode", "edge", "--greedy", "--no-timing", "--json"],
+     "fafc01133cdfcf544d4f6e6c6c17830024e0012aa3f4ae55b4487371b6414884"),
+    (["psi", "--graph", "gp:15:4", "--greedy", "--no-timing", "--json"],
+     "721e9196657dafd4e853bb613ab7058ee4007c37ca6579976c21c63188954ae0"),
+    (["experiment", "--n", "12..14", "--budget", "1", "--no-timing", "--json"],
+     "51f383d69706a8e1ae0a140688d43d44c241f07235e5ef53e2c3b20b0460b66f"),
     (["dim", "--graph", "gp:12:5", "--mode", "edge", "--all-optima", "--no-timing", "--json"],
      "bb7096df47b590fa1874f4e682a37e0640d5838a0e6e38eba9511f152f5f5e9d"),
     (["verify", "--family", "prism", "--n", "6..30", "--no-timing", "--json"],

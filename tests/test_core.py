@@ -95,30 +95,30 @@ def test_adjacency_symmetric_and_loop_free():
 # ---------------------------------------------------------------------------
 
 def test_line_graph_of_triangle_is_triangle():
-    lm = line_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
-    assert lm.graph.order == 3
-    assert lm.graph.edges == ((0, 1), (0, 2), (1, 2))
+    line = line_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
+    assert line.order == 3
+    assert line.edges == ((0, 1), (0, 2), (1, 2))
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_line_graph_of_cycle_is_cycle(n):
-    lm = line_graph(make_cycle(n).graph)
-    assert lm.graph.order == n
-    assert lm.graph.size == n
-    assert all(lm.graph.degree(v) == 2 for v in range(n))
-    assert len(frontier_bfs(lm.graph.adjacency, 0)) == n
+    line = line_graph(make_cycle(n).graph)
+    assert line.order == n
+    assert line.size == n
+    assert all(line.degree(v) == 2 for v in range(n))
+    assert len(frontier_bfs(line.adjacency, 0)) == n
 
 
 def test_line_graph_size_of_sunlet_8():
     g = make_sunlet(8).graph
-    lm = line_graph(g)
-    assert lm.graph.order == 16
+    line = line_graph(g)
+    assert line.order == 16
     # independent count: sum over vertices of C(deg, 2)
     expected = sum(
         g.degree(v) * (g.degree(v) - 1) // 2 for v in range(g.order)
     )
     assert expected == 24
-    assert lm.graph.size == expected
+    assert line.size == expected
 
 
 def test_line_graph_rejects_edgeless():
@@ -130,9 +130,9 @@ def test_line_graph_rejects_edgeless():
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_line_graph_degree_identity(make, n):
     g = make(n).graph
-    lm = line_graph(g)
-    for i, (u, v) in enumerate(lm.base_edges):
-        assert lm.graph.degree(i) == g.degree(u) + g.degree(v) - 2
+    line = line_graph(g)
+    for i, (u, v) in enumerate(g.edges):
+        assert line.degree(i) == g.degree(u) + g.degree(v) - 2
 
 
 @settings(max_examples=60)
@@ -140,8 +140,7 @@ def test_line_graph_degree_identity(make, n):
 def test_line_graph_matches_pairwise_construction(g):
     if not g.edges:
         return
-    lm = line_graph(g)
-    assert set(lm.graph.edges) == naive_line_graph_edges(g.edges)
+    assert set(line_graph(g).edges) == naive_line_graph_edges(g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +196,10 @@ def test_edge_distance_unknown_edge():
 def test_edge_distance_matches_independent_bfs(g):
     if g.size < 1:
         return
-    lm = g.line_map
-    for src in range(min(lm.graph.order, 6)):
-        oracle = frontier_bfs(lm.graph.adjacency, src)
-        for j in range(lm.graph.order):
+    line = g.line_graph
+    for src in range(min(line.order, 6)):
+        oracle = frontier_bfs(line.adjacency, src)
+        for j in range(line.order):
             assert g.line_distance_matrix[src][j] == oracle[j]
 
 
@@ -229,7 +228,7 @@ def test_distance_matrix_axioms(g):
 
 def assert_matrices_are_bfs(g):
     """The vertex and line matrices of ``g`` equal the frontier-BFS oracle."""
-    for h in [g, g.line_map.graph] if g.size else [g]:
+    for h in [g, g.line_graph] if g.size else [g]:
         for src, row in enumerate(h.distance_matrix.rows):
             oracle = frontier_bfs(h.adjacency, src)
             assert row == tuple(oracle[j] for j in range(h.order))
@@ -384,7 +383,7 @@ def test_dot_export():
     dot = graph_to_dot(s.graph, "cycle:4", {e: name for name, e in s.labels.items()})
     assert dot.startswith('graph "cycle:4"')
     assert '0 -- 1 [label="c0"];' in dot
-    ldot = line_graph_to_dot(s.graph.line_map, "L", {e: n for n, e in s.labels.items()})
+    ldot = line_graph_to_dot(s.graph.line_graph, s.line_label_order())
     assert '"c0" -- "c1";' in ldot
 
 
@@ -394,7 +393,7 @@ def test_dot_escapes_quotes_and_backslashes():
     dot = graph_to_dot(g, 'file:"g".json', names).splitlines()
     assert dot[0] == r'graph "file:\"g\".json" {'
     assert dot[4:6] == [r'  0 -- 1 [label="a\"x"];', r'  1 -- 2 [label="b\\"];']
-    ldot = line_graph_to_dot(g.line_map, 'L("g")', names).splitlines()
+    ldot = line_graph_to_dot(g.line_graph, [names[e] for e in g.edges], 'L("g")').splitlines()
     assert ldot == [
         r'graph "L(\"g\")" {', r'  "a\"x";', r'  "b\\";', r'  "a\"x" -- "b\\";', "}",
     ]
