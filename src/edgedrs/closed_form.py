@@ -20,7 +20,7 @@ see ``docs/closed_form_notes.md`` for the list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Iterable
 
 from .core import DistanceMatrix
@@ -103,39 +103,38 @@ def base_table(family: str, n: int) -> dict[str, int]:
 
 def closed_edge_distance(family: str, n: int, a: str, b: str) -> int:
     """Edge distance between two labeled edges by the closed-form rules."""
-    return _rule(family, n, base_table(family, n), parse_label(a), parse_label(b))
-
-
-def _rule(
-    family: str, n: int, base: dict[str, int], a: tuple[str, int], b: tuple[str, int]
-) -> int:
-    """Base-table value at the cyclic offset plus a correction, for parsed labels.
-
-    A mixed pair is read with the base edge's class first: (e_i, f_j) on the
-    sunlet, (f_i, x_j) on the prism; an e/g pair stays unordered.  Every
-    correction depends on the offset ``m = |j - i|`` only through the sign of
-    ``2m - n``, so no rule branches on the parity of ``n``.  The result is
-    symmetric in ``a`` and ``b`` by construction.
-    """
-    ca, i = a
-    cb, j = b
+    (ca, i), (cb, j) = parse_label(a), parse_label(b)
     if family == SUNLET and "g" in (ca, cb):
         raise InvalidLabelError("sunlet edges are labeled e* and f* only")
-    i, j = i % n, j % n
-    if (ca, i) == (cb, j):
+    return _rule(family, n, base_table(family, n), ca, cb, j % n - i % n)
+
+
+def _rule(family: str, n: int, base: dict[str, int], ca: str, cb: str, offset: int) -> int:
+    """Distance from ``ca{i}`` to ``cb{j}`` as a function of ``offset = j - i``.
+
+    The indices are reduced mod ``n`` first, so ``-n < offset < n``, and the
+    rule reads nothing but the class pair and this signed offset: the
+    base-table value at ``m = |offset|`` plus one correction.  A mixed pair
+    is read with the base edge's class first, negating the offset: (e_i, f_j)
+    on the sunlet, (f_i, x_j) on the prism; an e/g pair stays unordered.
+    Every correction depends on ``m`` only through the sign of ``2m - n``, so
+    no rule branches on the parity of ``n``.  The result is symmetric by
+    construction: swapping the classes and negating the offset keeps it.
+    """
+    if ca == cb and offset == 0:
         return 0
     first = BASE_EDGE[family][0]
     if cb == first != ca:
-        ca, i, cb, j = cb, j, ca, i
-    m = abs(j - i)
+        ca, cb, offset = cb, ca, -offset
+    m = abs(offset)
     d = 2 * m - n
     value = base[f"{cb}{m}"]
     if ca == cb == first:  # sunlet e/e, prism f/f
         return value
     if ca == cb:  # sunlet f/f, prism e/e and g/g
         return value + (d >= 0) if family == SUNLET else value - (d < 0)
-    if ca == first:  # base class against another class
-        return value + ((d > 0) - (d < 0) if i > j else 0)
+    if ca == first:  # base class against another class, read with i > j
+        return value + ((d > 0) - (d < 0) if offset < 0 else 0)
     return value + (1 if m == 0 else d >= 0)  # prism e/g
 
 
@@ -167,24 +166,34 @@ def family_pair_count(family: str, n: int) -> int:
 def verify_family(family: str, ns: Iterable[int]) -> list[Deviation]:
     """Compare the closed-form rules against BFS for every label pair.
 
-    Returns all deviations in canonical (n, pair) order; an empty list
-    means the rules reproduce BFS exactly over the requested sizes.
+    Each class pair's rule is tabulated once per ``n`` over the offsets
+    ``1 - n .. n - 1``.  The BFS row of ``ca{i}`` on class ``cb`` is compared
+    whole with the slice for offsets ``-i .. n - 1 - i``, so every pair is
+    checked in both orientations; only a row that disagrees is walked.
+    Returns all deviations, read as ``(a, b)`` with ``a <= b``, in (n, pair)
+    order; an empty list means the rules reproduce BFS exactly.
     """
     deviations: list[Deviation] = []
     for n in sorted(set(ns)):
         lg = make_family(family, n)
         dm = lg.graph.line_distance_matrix
         base = base_table(family, n)
-        # each label's index and parsed form, once per n rather than per pair
-        entries = [
-            (label, lg.line_index(label), parse_label(label))
-            for label in sorted(lg.line_label_order())
-        ]
-        for (a, ia, pa), (b, ib, pb) in combinations_with_replacement(entries, 2):
-            want = dm[ia][ib]
-            got = _rule(family, n, base, pa, pb)
-            if got != want:
-                deviations.append(Deviation(family, n, (a, b), got, want))
+        classes = "ef" if family == SUNLET else "efg"
+        labels = {c: [f"{c}{i}" for i in range(n)] for c in classes}
+        lines = {c: [lg.line_index(label) for label in labels[c]] for c in classes}
+        found = []
+        for ca in classes:
+            for cb in classes:
+                # via a list, so the tuple is allocated at its final size; one grown
+                # from a generator is freed into that size's free list, which then grows
+                table = tuple([_rule(family, n, base, ca, cb, off) for off in range(1 - n, n)])
+                read = itemgetter(*lines[cb])
+                for i, (a, x) in enumerate(zip(labels[ca], lines[ca])):
+                    got, want = table[n - 1 - i:2 * n - 1 - i], read(dm[x])
+                    if got != want:
+                        found += [((a, b), g, w) for b, g, w in zip(labels[cb], got, want)
+                                  if g != w and a <= b]
+        deviations += (Deviation(family, n, pair, g, w) for pair, g, w in sorted(found))
     return deviations
 
 

@@ -165,9 +165,6 @@ class Graph:
     def size(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def edge_index(self, edge: tuple[int, int]) -> int:
         """Index of an edge in the canonical order (= its line-graph vertex)."""
         e = canonical_edge(*edge)

@@ -81,13 +81,6 @@ class LabeledGraph:
         except KeyError:
             raise KeyError(f"unknown edge label {label!r}") from None
 
-    def label_of(self, edge: tuple[int, int]) -> str:
-        e = canonical_edge(*edge)
-        try:
-            return self._by_edge[e]
-        except KeyError:
-            raise KeyError(f"edge {e} has no label") from None
-
     def line_index(self, label: str) -> int:
         """Line-graph vertex index of a labeled edge."""
         return self.graph.edge_index(self.edge_of(label))

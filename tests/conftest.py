@@ -7,16 +7,18 @@ descending bitmask powerset scans instead of level-wise lexicographic
 search, landmark-pair scans instead of injectivity of a shifted map, an
 explicit pending-pairs dict instead of class partitions for the greedy, a
 subset-by-subset ``combinations`` loop instead of the pruned prefix walk,
-and the prism as a Cartesian product instead of the family generator.
+the prism as a Cartesian product instead of the family generator, and one
+closed-form evaluation per label pair instead of a table per offset.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from hypothesis import strategies as st
 
-from edgedrs import DisconnectedError, Graph
+from edgedrs import DisconnectedError, Deviation, Graph, closed_edge_distance
+from edgedrs.closed_form import make_family
 
 
 def frontier_bfs(adjacency, source: int) -> dict[int, int]:
@@ -94,6 +96,24 @@ def girth(g: Graph) -> int:
             best = dist[v] + 1
     assert best is not None, "acyclic graph has no girth"
     return best
+
+
+def pairwise_deviations(family: str, ns) -> list[Deviation]:
+    """Every pair ``a <= b`` of sorted labels where the rule disagrees with BFS.
+
+    One ``closed_edge_distance`` call per unordered pair (diagonal included),
+    in (n, a, b) order: no offset table and no row comparison.
+    """
+    deviations = []
+    for n in sorted(set(ns)):
+        lg = make_family(family, n)
+        dm = lg.graph.line_distance_matrix
+        for a, b in combinations_with_replacement(sorted(lg.line_label_order()), 2):
+            got = closed_edge_distance(family, n, a, b)
+            want = dm[lg.line_index(a)][lg.line_index(b)]
+            if got != want:
+                deviations.append(Deviation(family, n, (a, b), got, want))
+    return deviations
 
 
 def powerset_min_size(dm, check, minimum: int) -> int:

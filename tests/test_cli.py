@@ -231,8 +231,9 @@ def test_partial_labels_fall_back_to_endpoint_names(tmp_path, capsys):
     )
     assert code == 0
     assert set(report["result"]["set"]) <= set(names)
+    # the fallback name of the unlabeled edge (0, 3) is not a label
     with pytest.raises(KeyError):
-        from_spec(spec).label_of((0, 3))
+        from_spec(spec).edge_of("0-3")
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,8 @@ from edgedrs import (
 )
 import edgedrs.closed_form as closed_form
 
+from conftest import pairwise_deviations
+
 
 def bfs_edge_distance(lg, a, b):
     return lg.graph.line_distance_matrix[lg.line_index(a)][lg.line_index(b)]
@@ -156,6 +158,30 @@ def test_verify_family_sunlet_clean():
 
 def test_verify_family_prism_clean():
     assert verify_family("prism", range(6, 21)) == []
+
+
+# rule mutations, each a wrapper around the real ``_rule``
+MUTATIONS = {
+    "clean": lambda ca, cb, offset: 0,
+    "offset 3": lambda ca, cb, offset: abs(offset) == 3,
+    "mixed, i > j": lambda ca, cb, offset: ca != cb and offset < 0,
+    "e/g": lambda ca, cb, offset: -({ca, cb} == {"e", "g"}),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("family,ns", [("sunlet", range(4, 17)), ("prism", range(6, 17))])
+def test_verify_family_equals_the_pairwise_oracle(monkeypatch, mutation, family, ns):
+    real, shift = closed_form._rule, MUTATIONS[mutation]
+
+    def mutated(family, n, base, ca, cb, offset):
+        return real(family, n, base, ca, cb, offset) + shift(ca, cb, offset)
+
+    monkeypatch.setattr(closed_form, "_rule", mutated)
+    want = pairwise_deviations(family, ns)
+    assert verify_family(family, ns) == want
+    # every mutation but the e/g one on the sunlet (which has no g) shows
+    assert bool(want) == (mutation != "clean" and (mutation, family) != ("e/g", "sunlet"))
 
 
 def test_verify_family_detects_corruption(monkeypatch):

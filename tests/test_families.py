@@ -47,7 +47,7 @@ def test_sunlet_counts_and_degrees():
     s = make_sunlet(4)
     assert s.graph.order == 8
     assert s.graph.size == 8
-    degs = Counter(s.graph.degree(v) for v in range(8))
+    degs = Counter(len(s.graph.adjacency[v]) for v in range(8))
     assert degs == {3: 4, 1: 4}
 
 
@@ -55,7 +55,7 @@ def test_sunlet_counts_and_degrees():
 def test_sunlet_shape(n):
     s = make_sunlet(n)
     assert s.graph.order == 2 * n and s.graph.size == 2 * n
-    assert Counter(s.graph.degree(v) for v in range(2 * n)) == {3: n, 1: n}
+    assert Counter(len(s.graph.adjacency[v]) for v in range(2 * n)) == {3: n, 1: n}
     assert set(s.labels) == {f"{c}{i}" for c in "ef" for i in range(n)}
 
 
@@ -63,7 +63,7 @@ def test_sunlet_shape(n):
 def test_prism_shape(n):
     p = make_prism(n)
     assert p.graph.order == 2 * n and p.graph.size == 3 * n
-    assert all(p.graph.degree(v) == 3 for v in range(2 * n))
+    assert all(len(p.graph.adjacency[v]) == 3 for v in range(2 * n))
 
 
 def test_parameter_bounds():
@@ -82,14 +82,14 @@ def test_gp_5_2_is_petersen():
     gp = make_generalized_petersen(5, 2)
     assert gp.graph.order == 10
     assert gp.graph.size == 15
-    assert all(gp.graph.degree(v) == 3 for v in range(10))
+    assert all(len(gp.graph.adjacency[v]) == 3 for v in range(10))
     assert girth(gp.graph) == 5
 
 
 def test_gp_7_2_counts():
     gp = make_generalized_petersen(7, 2)
     assert gp.graph.size == 21
-    assert all(gp.graph.degree(v) == 3 for v in range(14))
+    assert all(len(gp.graph.adjacency[v]) == 3 for v in range(14))
 
 
 def test_gp_n_1_equals_prism():
@@ -162,7 +162,7 @@ def test_labels_cover_edges_bijectively():
         assert len(lg.labels) == lg.graph.size
         assert set(lg.labels.values()) == set(lg.graph.edges)
         for name, e in lg.labels.items():
-            assert lg.label_of(e) == name
+            assert lg.line_label_order()[lg.graph.edge_index(e)] == name
 
 
 def test_unknown_label_raises():
