@@ -10,11 +10,12 @@ import argparse
 import json
 import sys
 from functools import cache
+from operator import itemgetter
 from typing import Sequence
 
 from .closed_form import Deviation, family_pair_count, verify_family
 from .core import GraphError
-from .families import GraphSpecError, LabeledGraph, from_spec, make_generalized_petersen
+from .families import GraphSpecError, LabeledGraph, from_spec
 from .report import Battery, render_markdown, run_battery
 from .resolving import (
     DEFAULT_BUDGET,
@@ -134,15 +135,29 @@ def _has_table(value) -> bool:
     return isinstance(value, dict) and any(k in _TABLES or _has_table(v) for k, v in value.items())
 
 
+class _Encoded(dict):
+    """``self[value]`` is ``encode(value)``, encoded the first time it is asked for."""
+
+    __slots__ = ("encode",)
+
+    def __init__(self, encode):
+        self.encode = encode
+
+    def __missing__(self, value):
+        self[value] = text = self.encode(value)
+        return text
+
+
 def _json_pieces(value, pad: str = "\n", table: bool = False):
     """The pieces of ``json.dumps(value, indent=2)``, inner lines led by ``pad``.
 
     Under ``indent`` the encoder is pure Python, several calls an entry, so
-    the dicts that hold a table are laid out here and a table row by row from
-    one encoded string per value; one join of the pieces copies it once."""
+    the dicts that hold a table are laid out here and a table row by row,
+    each distinct value encoded once, when a row first holds it; one join of
+    the pieces copies it once."""
     inner, cells = pad + "  ", pad + "    "
     if table:
-        cell = {v: json.dumps(v) for v in set().union(*value)}
+        cell = _Encoded(json.dumps)
         yield "[" + inner
         yield ("," + inner).join("[" + cells + ("," + cells).join(map(cell.__getitem__, row))
                                  + inner + "]" for row in value)
@@ -223,11 +238,14 @@ def _cmd_distances(args) -> int:
         "elements": names,
         "matrix": dm.rows,
     }
-    width = max(len(name) for name in names) + 1
-    cell = [f"{d:>{width}}" for d in range(max(map(max, dm.rows)) + 1)]
-    lines = [" " * width + " ".join(f"{name:>{width}}" for name in names)]
-    for name, row in zip(names, dm.rows):
-        lines.append(f"{name:>{width}}" + " ".join(map(cell.__getitem__, row)))
+    lines = []
+    if not args.json:  # the JSON is encoded from the report, not from the text
+        width = max(len(name) for name in names) + 1
+        cells = _Encoded(f"{{:>{width}}}".format)
+        lines.append(" " * width + " ".join(f"{name:>{width}}" for name in names))
+        for name, row in zip(names, dm.rows):
+            texts = itemgetter(*row)(cells)  # one key gathers a bare cell, not a 1-tuple
+            lines.append(f"{name:>{width}}" + (" ".join(texts) if len(row) > 1 else texts))
     _emit(report, args, lines)
     return EXIT_OK
 
@@ -352,7 +370,7 @@ def _cmd_experiment(args) -> int:
 
     rows = []
     for n, k in jobs:
-        g = make_generalized_petersen(n, k).graph
+        g = from_spec(f"gp:{n}:{k}").graph  # over the order cap: an argument error
         row: dict = {"n": n, "k": k, "order": g.order, "size": g.size}
         try:
             row["dim_edge"] = edge_metric_dimension(g, budget=args.budget).cardinality

@@ -333,7 +333,7 @@ class CoordinateTable:
 
     @property
     def mismatches(self) -> tuple[CoordinateRow, ...]:
-        return tuple(r for r in self.rows if not r.matches)
+        return tuple([r for r in self.rows if not r.matches])
 
 
 def coordinate_table(family: str, n: int) -> CoordinateTable:
@@ -349,7 +349,7 @@ def coordinate_table(family: str, n: int) -> CoordinateTable:
     rows = []
     for group, label, vec in expected:
         i = lg.line_index(label)
-        computed = tuple(dm[i][x] for x in lm_idx)
+        computed = tuple([dm[i][x] for x in lm_idx])
         # the template's group must also be the true distance class
         actual_group = dm[base][i]
         rows.append(

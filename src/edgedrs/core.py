@@ -67,7 +67,7 @@ class DistanceMatrix:
 
     def __init__(self, rows: Iterable[Iterable[int]], orbits: Iterable[int] | None = None,
                  generators: Iterable[Sequence[int]] = ()):
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = tuple([tuple(row) for row in rows])
         self.orbits = tuple(range(self.n) if orbits is None else orbits)
         self.generators = tuple(generators)
 
@@ -105,6 +105,12 @@ def _bfs_row(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
 # 4,000-cycle takes 6 s and peaks at 688 MB (ru_maxrss, Python 3.11); rows filled
 # through generators share their ints, so cycle:3999 peaks at 140 MB.
 MAX_MATRIX_SIDE = 4_000
+
+
+def _check_side(n: int) -> None:
+    if n > MAX_MATRIX_SIDE:
+        raise GraphError(f"a distance matrix over {n} elements "
+                         f"exceeds the maximum of {MAX_MATRIX_SIDE}")
 
 
 def _checked_automorphisms(
@@ -156,10 +162,10 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adj
+            [tuple(sorted(nbrs)) for nbrs in adj]
         )
         self._edge_index: dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
-        self.automorphisms: tuple[tuple[int, ...], ...] = tuple(map(tuple, automorphisms))
+        self.automorphisms: tuple[tuple[int, ...], ...] = tuple(list(map(tuple, automorphisms)))
 
     @property
     def size(self) -> int:
@@ -178,9 +184,7 @@ class Graph:
         """BFS from the least element of each orbit of the automorphisms, the
         orbits numbered in that order; a generator ``p`` fills row ``p(x)`` with
         row ``x`` read through ``p^-1``.  ``DisconnectedError`` if disconnected."""
-        if self.order > MAX_MATRIX_SIDE:
-            raise GraphError(f"a distance matrix over {self.order} elements "
-                             f"exceeds the maximum of {MAX_MATRIX_SIDE}")
+        _check_side(self.order)
         _checked_automorphisms(self.order, self._edge_index, self.automorphisms)
         # p^-1 lists the x sorted by p(x)
         readers = [(p, itemgetter(*sorted(range(self.order), key=p.__getitem__)))
@@ -213,6 +217,7 @@ class Graph:
 
     @cached_property
     def line_distance_matrix(self) -> DistanceMatrix:
+        _check_side(self.size)  # before the line graph is built
         return self.line_graph.distance_matrix
 
     def __repr__(self) -> str:

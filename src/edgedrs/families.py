@@ -86,7 +86,7 @@ class LabeledGraph:
         return self.graph.edge_index(self.edge_of(label))
 
     def line_indices(self, labels: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.line_index(name) for name in labels)
+        return tuple([self.line_index(name) for name in labels])
 
     def label_of_line_index(self, i: int) -> str:
         """Label of line-graph vertex ``i``, or ``u-v`` if its edge has none."""
@@ -95,7 +95,7 @@ class LabeledGraph:
 
     def line_label_order(self) -> tuple[str, ...]:
         """All edge names ordered by line-graph vertex index (``u-v`` if unlabeled)."""
-        return tuple(map(self.label_of_line_index, range(self.graph.size)))
+        return tuple(list(map(self.label_of_line_index, range(self.graph.size))))
 
     def to_json_dict(self) -> dict:
         return graph_to_json_dict(self.graph, self.labels)
@@ -116,7 +116,7 @@ def _labeled(graph: Graph, family: str, labels: dict[str, Edge]) -> LabeledGraph
 
 def _rotation(n: int, rings: int) -> tuple[int, ...]:
     """The automorphism ``v -> v + 1 mod n`` on each ring of ``n`` vertices."""
-    return tuple(ring + (i + 1) % n for ring in range(0, rings * n, n) for i in range(n))
+    return tuple([ring + (i + 1) % n for ring in range(0, rings * n, n) for i in range(n)])
 
 
 def make_cycle(n: int) -> LabeledGraph:

@@ -125,13 +125,13 @@ def _check_landmarks(dm: DistanceMatrix, landmarks: Sequence[int], minimum: int)
 
 def _shifted_columns(
     dm: DistanceMatrix, first: int, landmarks: Sequence[int]
-) -> list[tuple[int, ...]]:
+) -> list[list[int]]:
     """Column ``d(w, x) - d(w, first)`` over all elements ``w``, per landmark ``x``.
 
     The matrix is symmetric, so row ``x`` doubles as column ``x``.
     """
     base = dm.rows[first]
-    return [tuple(map(sub, dm.rows[x], base)) for x in landmarks]
+    return [list(map(sub, dm.rows[x], base)) for x in landmarks]
 
 
 def _collisions(members: Sequence[int], keys) -> list[list[int]]:
@@ -387,7 +387,7 @@ def min_cardinality_search(
                 walk.hits = []
                 stop = walk.descend(_columns(dm, doubly, first, elements),
                                     everything, same, 0, k, (), 1)
-                hits += [tuple(map(elements.__getitem__, hit)) for hit in walk.hits]
+                hits += [tuple(list(map(elements.__getitem__, hit))) for hit in walk.hits]
                 if stop:
                     break
         # the scan's count, whatever the walks tested

@@ -321,13 +321,30 @@ def test_a_matrix_above_the_side_cap_is_refused_before_any_bfs(capsys, monkeypat
         raise AssertionError("the cap must be checked before the BFS")
 
     monkeypatch.setattr(core, "_bfs_row", no_bfs)
+    monkeypatch.setattr(core, "line_graph", no_bfs)  # edge mode: nor the line graph
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("edge-drs: error: ") and err.count("\n") == 1
     assert f"the maximum of {core.MAX_MATRIX_SIDE}" in err
 
 
-# sha256 of --no-timing stdout; these bytes change only with a CHANGES.md entry
+def test_experiment_above_the_order_cap_is_an_argument_error(capsys, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("the cap must be checked before any graph is built")
+
+    monkeypatch.setattr(core.Graph, "__init__", no_graph)
+    assert run(["experiment", "--n", "50001..50001", "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edge-drs: argument error: ") and err.count("\n") == 1
+    assert "'gp:50001:1'" in err and "maximum of 100000" in err
+
+
+# a labelled file graph: each optimum of its edge search is one string
+LABELLED_PATH = {"order": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]],
+                 "labels": {"a": [0, 1], "b": [1, 2], "c": [2, 3], "d": [3, 4]}}
+
+# sha256 of --no-timing stdout, run where file:labelled.json holds LABELLED_PATH;
+# these bytes change only with a CHANGES.md entry
 GOLDEN_STDOUT = [
     (["experiment", "--n", "5..11", "--no-timing", "--json"],
      "05f855e41e668ba3782cae603ac6131603cf298d3e5747cb0a482540868ba1d6"),
@@ -361,12 +378,23 @@ GOLDEN_STDOUT = [
      "59a9c95e25ff1e3bef42c2ad75c4ca7a72d0d867cff46a86ceab580f3a47cf0f"),
     (["distances", "--graph", "cycle:9", "--mode", "edge", "--no-timing"],
      "8887c978a0f7d005a1b9f2106e74b84aaabcb31f4fe807f7a0587d5bb8c5ac84"),
+    (["distances", "--graph", "path:2", "--mode", "edge", "--no-timing"],
+     "ca46d38bb21f20794a8df2dc698e142c165af7b63fe5fb175e43af2eed67d9f9"),
+    (["distances", "--graph", "path:2", "--mode", "edge", "--no-timing", "--json"],
+     "340f9bf45ee1d2c6f6016b02eaf020b1fff358fba291a56c5662502b9bd33880"),
+    (["dim", "--graph", "path:5", "--all-optima", "--no-timing", "--json"],
+     "9c305d5319a14ace494073af909ef5ac03ffb21ffada43141591d88a0796ec6a"),
+    (["dim", "--graph", "file:labelled.json", "--mode", "edge", "--all-optima",
+      "--no-timing", "--json"],
+     "17e06a98895ab35d2ef241fd0cd81f6a339da021689e362d8518ea520e9e392d"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
                          ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
-def test_no_timing_output_is_byte_identical(capsys, argv, digest):
+def test_no_timing_output_is_byte_identical(tmp_path, capsys, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "labelled.json").write_text(json.dumps(LABELLED_PATH))
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
