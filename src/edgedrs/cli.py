@@ -13,7 +13,7 @@ from functools import cache
 from operator import itemgetter
 from typing import Sequence
 
-from .closed_form import Deviation, family_pair_count, verify_family
+from .closed_form import family_pair_count, verify_family
 from .core import GraphError
 from .families import GraphSpecError, LabeledGraph, from_spec
 from .report import Battery, render_markdown, run_battery
@@ -302,7 +302,7 @@ def _cmd_verify(args) -> int:
 
     instances = []
     for n in ns:
-        deviations: list[Deviation] = verify_family(args.family, [n])
+        deviations = verify_family(args.family, [n])
         instances.append({
             "family": args.family,
             "n": n,
@@ -334,11 +334,18 @@ def _cmd_verify(args) -> int:
     return EXIT_DEVIATIONS if total else EXIT_OK
 
 
+def _nonempty_range(flag: str, text: str) -> range:
+    ns = _parse_range(text)
+    if not ns:
+        raise GraphSpecError(f"{flag} {text!r} is an empty range")
+    return ns
+
+
 def _cmd_reproduce(args) -> int:
     battery: Battery = run_battery(
-        sunlet_ns=list(_parse_range(args.sunlet_n)),
-        prism_dim_ns=list(_parse_range(args.prism_dim_n)),
-        prism_psi_ns=list(_parse_range(args.prism_n)),
+        sunlet_ns=_nonempty_range("--sunlet-n", args.sunlet_n),
+        prism_dim_ns=_nonempty_range("--prism-dim-n", args.prism_dim_n),
+        prism_psi_ns=_nonempty_range("--prism-n", args.prism_n),
     )
     out_path = args.out or "reproduce.md"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -355,34 +362,30 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    ns = _parse_range(args.n)
-    jobs: list[tuple[int, int]] = []
-    for n in ns:
+    rows = []
+    for n in _parse_range(args.n):  # one n at a time: no job list to build before a cap check
         if args.k == "all":
-            jobs.extend((n, k) for k in range(1, (n - 1) // 2 + 1))
+            ks = range(1, (n - 1) // 2 + 1)
         else:
             try:
                 k = int(args.k)
             except ValueError:
                 raise GraphSpecError(f"--k must be an integer or 'all', got {args.k!r}")
-            if 1 <= k < n / 2:
-                jobs.append((n, k))
-
-    rows = []
-    for n, k in jobs:
-        g = from_spec(f"gp:{n}:{k}").graph  # over the order cap: an argument error
-        row: dict = {"n": n, "k": k, "order": g.order, "size": g.size}
-        try:
-            row["dim_edge"] = edge_metric_dimension(g, budget=args.budget).cardinality
-        except BudgetExceededError:
-            row["dim_edge"] = None
-        try:
-            row["psi_edge"] = psi_edge(g, budget=args.budget).cardinality
-            row["psi_edge_exact"] = True
-        except BudgetExceededError:
-            row["psi_edge"] = len(greedy_doubly_resolving(g.line_distance_matrix))
-            row["psi_edge_exact"] = False
-        rows.append(row)
+            ks = [k] if 1 <= k < n / 2 else []
+        for k in ks:
+            g = from_spec(f"gp:{n}:{k}").graph  # over the order cap: an argument error
+            row: dict = {"n": n, "k": k, "order": g.order, "size": g.size}
+            try:
+                row["dim_edge"] = edge_metric_dimension(g, budget=args.budget).cardinality
+            except BudgetExceededError:
+                row["dim_edge"] = None
+            try:
+                row["psi_edge"] = psi_edge(g, budget=args.budget).cardinality
+                row["psi_edge_exact"] = True
+            except BudgetExceededError:
+                row["psi_edge"] = len(greedy_doubly_resolving(g.line_distance_matrix))
+                row["psi_edge_exact"] = False
+            rows.append(row)
     report = {"command": "experiment", "rows": rows}
     lines = ["  n  k  |E|  dim_E  psi_E"]
     for row in rows:

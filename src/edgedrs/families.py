@@ -108,12 +108,6 @@ class LabeledGraph:
                                  f"L({self.family})")
 
 
-def _labeled(graph: Graph, family: str, labels: dict[str, Edge]) -> LabeledGraph:
-    if len(labels) != graph.size:
-        raise GraphError("labels must cover every edge exactly once")
-    return LabeledGraph(graph, family, labels)
-
-
 def _rotation(n: int, rings: int) -> tuple[int, ...]:
     """The automorphism ``v -> v + 1 mod n`` on each ring of ``n`` vertices."""
     return tuple([ring + (i + 1) % n for ring in range(0, rings * n, n) for i in range(n)])
@@ -123,14 +117,14 @@ def make_cycle(n: int) -> LabeledGraph:
     if n < 3:
         raise FamilyParameterError("cycle needs n >= 3")
     labels = {f"c{i}": canonical_edge(i, (i + 1) % n) for i in range(n)}
-    return _labeled(Graph(n, labels.values(), [_rotation(n, 1)]), f"cycle:{n}", labels)
+    return LabeledGraph(Graph(n, labels.values(), [_rotation(n, 1)]), f"cycle:{n}", labels)
 
 
 def make_path(n: int) -> LabeledGraph:
     if n < 2:
         raise FamilyParameterError("path needs n >= 2")
     labels = {f"p{i}": (i, i + 1) for i in range(n - 1)}
-    return _labeled(Graph(n, labels.values()), f"path:{n}", labels)
+    return LabeledGraph(Graph(n, labels.values()), f"path:{n}", labels)
 
 
 def make_sunlet(n: int) -> LabeledGraph:
@@ -141,7 +135,7 @@ def make_sunlet(n: int) -> LabeledGraph:
     for i in range(n):
         labels[f"e{i}"] = canonical_edge((i - 1) % n, i)
         labels[f"f{i}"] = (i, n + i)
-    return _labeled(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"sunlet:{n}", labels)
+    return LabeledGraph(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"sunlet:{n}", labels)
 
 
 def make_prism(n: int) -> LabeledGraph:
@@ -153,7 +147,7 @@ def make_prism(n: int) -> LabeledGraph:
         labels[f"e{i}"] = canonical_edge(i, (i + 1) % n)
         labels[f"f{i}"] = (i, n + i)
         labels[f"g{i}"] = canonical_edge(n + i, n + (i + 1) % n)
-    return _labeled(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"prism:{n}", labels)
+    return LabeledGraph(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"prism:{n}", labels)
 
 
 def make_generalized_petersen(n: int, k: int) -> LabeledGraph:
@@ -169,13 +163,16 @@ def make_generalized_petersen(n: int, k: int) -> LabeledGraph:
         labels[f"g{i}"] = canonical_edge(i, (i + 1) % n)
         labels[f"f{i}"] = (i, n + i)
         labels[f"e{i}"] = canonical_edge(n + i, n + (i + k) % n)
-    return _labeled(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"gp:{n}:{k}", labels)
+    return LabeledGraph(Graph(2 * n, labels.values(), [_rotation(n, 2)]), f"gp:{n}:{k}", labels)
 
 
 def load_graph_file(path: str | Path) -> LabeledGraph:
     """Load a graph JSON file, keeping any label registry it carries."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise GraphError(f"{path}: JSON nested too deeply to read") from None
     graph, labels = graph_from_json_dict(data)
     return LabeledGraph(graph, f"file:{path}", labels or {})
 

@@ -31,10 +31,9 @@ from .closed_form import (
 )
 from .families import make_prism, make_sunlet
 from .resolving import (
+    doubly_resolves,
     edge_metric_dimension,
     is_doubly_resolving,
-    labeled_set_report,
-    labels_doubly_resolve_pair,
     psi_edge,
 )
 
@@ -44,7 +43,6 @@ class CheckResult:
     name: str
     ok: bool
     rows: list[dict] = field(default_factory=list)
-    columns: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok, "rows": self.rows}
@@ -79,7 +77,6 @@ def partition_check(family: str, n: int) -> CheckResult:
         name=f"distance partition {family} n={n}",
         ok=ok,
         rows=rows,
-        columns=("i", "edges", "match"),
     )
 
 
@@ -121,10 +118,9 @@ def two_set_check(n: int) -> CheckResult:
     rows = []
     ok = all_fail
     for name, instances in two_set_failure_rows(n):
-        fails = all(not labeled_set_report(lg, lm).ok for lm, _ in instances)
-        confirmed = all(
-            not labels_doubly_resolve_pair(lg, lm, wit) for lm, wit in instances
-        )
+        indexed = [(lg.line_indices(lm), lg.line_indices(wit)) for lm, wit in instances]
+        fails = all(not is_doubly_resolving(dm, lm).ok for lm, _ in indexed)
+        confirmed = all(not doubly_resolves(dm, *lm, *wit) for lm, wit in indexed)
         ok = ok and fails and confirmed
         rows.append(
             {
@@ -148,7 +144,6 @@ def two_set_check(n: int) -> CheckResult:
         name=f"2-set failures sunlet n={n}",
         ok=ok,
         rows=rows,
-        columns=("set", "witness", "instances", "all_fail", "witness_confirmed"),
     )
 
 
@@ -173,7 +168,6 @@ def coordinate_check(family: str, n: int) -> CheckResult:
         ),
         ok=ok,
         rows=rows,
-        columns=("i", "edge", "computed", "template", "match"),
     )
 
 
@@ -197,7 +191,6 @@ def sweep_check(family: str, ns: Sequence[int], quantity: str) -> CheckResult:
         name=f"{quantity} sweep {family} n={min(ns)}..{max(ns)}",
         ok=ok,
         rows=rows,
-        columns=("n", "value", "expected", "match"),
     )
 
 
@@ -217,9 +210,9 @@ class Battery:
 
 
 def run_battery(
-    sunlet_ns: Sequence[int] = tuple(range(4, 15)),
-    prism_dim_ns: Sequence[int] = tuple(range(3, 13)),
-    prism_psi_ns: Sequence[int] = tuple(range(6, 13)),
+    sunlet_ns: Sequence[int],
+    prism_dim_ns: Sequence[int],
+    prism_psi_ns: Sequence[int],
 ) -> Battery:
     checks: list[CheckResult] = [
         sweep_check(SUNLET, sunlet_ns, "dim_edge"),
@@ -236,7 +229,8 @@ def run_battery(
     return Battery(checks)
 
 
-def _markdown_table(columns: Sequence[str], rows: Sequence[dict]) -> list[str]:
+def _markdown_table(rows: Sequence[dict]) -> list[str]:
+    columns = list(rows[0])
     out = ["| " + " | ".join(columns) + " |",
            "| " + " | ".join("---" for _ in columns) + " |"]
     for row in rows:
@@ -255,6 +249,6 @@ def render_markdown(battery: Battery) -> str:
     for check in battery.checks:
         lines.append(f"## {check.name} - {'PASS' if check.ok else 'FAIL'}")
         lines.append("")
-        lines.extend(_markdown_table(check.columns, check.rows))
+        lines.extend(_markdown_table(check.rows))
         lines.append("")
     return "\n".join(lines)

@@ -2,7 +2,9 @@
 
 All predicates read an immutable :class:`~edgedrs.core.DistanceMatrix`; for
 edge versions that matrix belongs to the line graph, so an element index is
-a line-graph vertex (= an edge of the base graph in canonical order).
+a line-graph vertex (= an edge of the base graph in canonical order).  The
+module knows elements only by index: callers that name edges by label
+translate the labels first.
 
 Both predicates ask one question: is a coordinate map injective?  A
 landmark sequence ``S = (s1, ..., sk)`` is resolving when
@@ -21,9 +23,10 @@ The exact search visits the k-subsets in lexicographic order as a
 depth-first walk over prefixes.  A prefix carries the non-singleton classes
 of its coordinate map as integer codes; appending landmark ``x`` refines
 every class by column ``x`` (:func:`_refinements`), so a prefix's work is
-shared by all subsets below it, and a full subset passes when its last
-column is injective on every class left.  The greedy upper bound refines
-the same coded classes, one chosen landmark at a time.
+shared by all subsets below it.  A prefix one landmark short groups its
+refined codes into classes once, and a full subset passes when its last
+column is injective on every class of two or more.  The greedy upper bound
+refines the same coded classes, one chosen landmark at a time.
 A column takes at most ``spread`` values on a class: ``diam + 1`` for
 resolving, ``2 diam + 1`` for the shifted columns of doubly resolving.  So
 ``r`` more landmarks split a class into at most ``spread ** r`` parts, and
@@ -48,7 +51,6 @@ from operator import add, itemgetter, sub
 from typing import Literal, Sequence
 
 from .core import DistanceMatrix, Graph
-from .families import LabeledGraph
 
 RESOLVING: Literal["resolving"] = "resolving"
 DOUBLY_RESOLVING: Literal["doubly-resolving"] = "doubly-resolving"
@@ -213,44 +215,40 @@ class _Walk:
     """Depth-first walk over the k-subsets of one level, in lexicographic order.
 
     A node is a prefix of landmarks.  It carries the members of the
-    non-singleton classes of its coordinate map and their codes.
+    non-singleton classes of its coordinate map and their codes; the root
+    holds all ``elements`` in one class.
     """
 
-    def __init__(self, spread: int, budget: int, all_optima: bool, k: int, examined: int):
+    def __init__(self, elements: int, spread: int, budget: int, all_optima: bool, k: int,
+                 examined: int):
+        # the root's one class and its codes, unless the class is a singleton
+        self.everything = list(range(elements)) if elements > 1 else []
+        self.same = [0] * len(self.everything)
         self.spread = spread
         self.budget = budget
         self.all_optima = all_optima
         self.k = k
         self.examined = examined
-        self.hits: list[tuple[int, ...]] = []
 
     def count(self, leaves: int) -> None:
         self.examined += leaves
         if self.examined > self.budget:
             raise BudgetExceededError(self.budget, self.k, self.examined)
 
-    def descend(
-        self,
-        columns: Sequence[Sequence[int]],
-        members: list[int],
-        codes: list[int],
-        start: int,
-        r: int,
-        prefix: tuple[int, ...],
-        stop: int,
-    ) -> bool:
-        """Visit ``prefix`` extended by ``r`` landmarks from ``start`` on,
-        the next one below ``stop``; landmark ``x`` is column ``x``.
+    def descend(self, columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """The passing k-subsets of landmark positions that hold position 0;
+        landmark ``x`` is column ``x``.  Without ``all_optima``, only the
+        first.
 
-        Returns True when the walk should stop (a hit without ``all_optima``).
         The walk keeps its own stack, one frame per landmark position, so
         its depth is not bounded by the interpreter's recursion limit.
         """
-        if r == 1:
-            return self.leaves(columns, members, codes, start, prefix, stop)
+        if self.k == 1:
+            return self.leaves(columns, self.everything, self.same, 0, (), 1)
         n = len(columns)
-        stack = [(members, prefix, r, _refinements(columns, members, codes, self.spread,
-                                                   range(start, min(stop, n - r + 1))))]
+        hits: list[tuple[int, ...]] = []
+        stack = [(self.everything, (), self.k, _refinements(
+            columns, self.everything, self.same, self.spread, range(1)))]
         while stack:
             members, prefix, r, frame = stack[-1]
             bound = self.spread ** (r - 1)
@@ -259,17 +257,18 @@ class _Walk:
                     # no completion can split the largest class: count its leaves
                     self.count(comb(n - x - 1, r - 1))
                     continue
-                members_x, codes_x = _kept(members, refined, sizes)
                 if r == 2:
-                    if self.leaves(columns, members_x, codes_x, x + 1, prefix + (x,), n):
-                        return True
+                    hits += self.leaves(columns, members, refined, x + 1, prefix + (x,), n)
+                    if hits and not self.all_optima:
+                        return hits
                 else:
+                    members_x, codes_x = _kept(members, refined, sizes)
                     stack.append((members_x, prefix + (x,), r - 1, _refinements(
                         columns, members_x, codes_x, self.spread, range(x + 1, n - r + 2))))
                     break
             else:
                 stack.pop()
-        return False
+        return hits
 
     def leaves(
         self,
@@ -279,25 +278,28 @@ class _Walk:
         start: int,
         prefix: tuple[int, ...],
         stop: int,
-    ) -> bool:
-        """Test ``prefix + (x,)`` for ``start <= x < stop``: is column ``x``
-        injective on every class?  Largest classes first, as they fail most."""
+    ) -> list[tuple[int, ...]]:
+        """The passing sets ``prefix + (x,)`` for ``start <= x < stop``, the
+        first only without ``all_optima``: is column ``x`` injective on every
+        class of two or more that ``codes`` give ``members``?  Largest
+        classes first, as they fail most."""
         checks = [
             (itemgetter(*group), len(group))
             for group in sorted(_collisions(members, codes), key=len, reverse=True)
         ]
+        hits = []
         for x in range(start, stop):
             column = columns[x]
             for get, size in checks:
                 if len(set(get(column))) != size:
                     break
             else:
-                self.hits.append(prefix + (x,))
+                hits.append(prefix + (x,))
                 if not self.all_optima:
                     self.count(x + 1 - start)
-                    return True
+                    return hits
         self.count(stop - start)
-        return False
+        return hits
 
 
 def _columns(dm: DistanceMatrix, doubly: bool, first: int, elements) -> list:
@@ -372,23 +374,19 @@ def min_cardinality_search(
     started = time.perf_counter()
     doubly = minimum == 2
     spread = _spread(dm, doubly)
-    everything = list(range(n)) if n > 1 else []  # the one class, unless a singleton
-    same = [0] * len(everything)
     orbits, representatives = dm.orbits, dm.orbit_representatives()
     examined = 0
     for k in range(k0, n + 1):
-        walk = _Walk(spread, budget, all_optima, k, examined)
+        walk = _Walk(n, spread, budget, all_optima, k, examined)
         hits: list[tuple[int, ...]] = []
         if n <= spread ** (k - minimum + 1):  # else the landmarks that refine are too few
             for j, first in enumerate(representatives):
                 elements = [first] + [x for x in range(first + 1, n) if orbits[x] >= j]
                 if len(elements) < k:
                     break
-                walk.hits = []
-                stop = walk.descend(_columns(dm, doubly, first, elements),
-                                    everything, same, 0, k, (), 1)
-                hits += [tuple(list(map(elements.__getitem__, hit))) for hit in walk.hits]
-                if stop:
+                found = walk.descend(_columns(dm, doubly, first, elements))
+                hits += [tuple(list(map(elements.__getitem__, hit))) for hit in found]
+                if found and not all_optima:
                     break
         # the scan's count, whatever the walks tested
         examined += _lexrank(hits[0], n) + 1 if hits and not all_optima else comb(n, k)
@@ -465,26 +463,3 @@ def greedy_doubly_resolving(dm: DistanceMatrix) -> tuple[int, ...]:
             if is_doubly_resolving(dm, trial).ok:
                 result = trial
     return tuple(result)
-
-
-# ---------------------------------------------------------------------------
-# Label-level helpers for family instances
-# ---------------------------------------------------------------------------
-
-def labeled_set_report(lg: LabeledGraph, labels: Sequence[str]) -> ResolveReport:
-    """Run the edge doubly-resolving check on a set given by edge labels."""
-    dm = lg.graph.line_distance_matrix
-    return is_doubly_resolving(dm, lg.line_indices(labels))
-
-
-def labels_doubly_resolve_pair(
-    lg: LabeledGraph, landmark_labels: Sequence[str], pair: Sequence[str]
-) -> bool:
-    """Does some landmark pair separate the two named edges?
-
-    Used to confirm a claimed witness: the claim holds when this is False.
-    """
-    dm = lg.graph.line_distance_matrix
-    lm = lg.line_indices(landmark_labels)
-    u, v = lg.line_indices(pair)
-    return any(doubly_resolves(dm, lm[0], x, u, v) for x in lm[1:])

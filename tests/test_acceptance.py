@@ -13,8 +13,6 @@ from edgedrs import (
     edge_metric_dimension,
     is_doubly_resolving,
     is_resolving,
-    labeled_set_report,
-    labels_doubly_resolve_pair,
     line_graph,
     make_cycle,
     make_generalized_petersen,
@@ -81,12 +79,14 @@ def test_criterion_05_even_sunlet_two_sets_all_fail():
             assert not is_doubly_resolving(dm, pair).ok, (n, pair)
     for n in (8, 12):
         lg = make_sunlet(n)
+        dm = lg.graph.line_distance_matrix
         rows = two_set_failure_rows(n)
         assert len(rows) == 7
         for name, instances in rows:
             for landmarks, witness in instances:
-                assert not labeled_set_report(lg, landmarks).ok, (n, name, landmarks)
-                assert not labels_doubly_resolve_pair(lg, landmarks, witness), (
+                lm = lg.line_indices(landmarks)
+                assert not is_doubly_resolving(dm, lm).ok, (n, name, landmarks)
+                assert not doubly_resolves(dm, *lm, *lg.line_indices(witness)), (
                     n, name, landmarks, witness,
                 )
     _announce(
@@ -102,11 +102,12 @@ def test_criterion_06_reference_triples_pass_and_are_minimal():
         make = make_sunlet if family == "sunlet" else make_prism
         for n in ns:
             lg = make(n)
+            dm = lg.graph.line_distance_matrix
             landmarks = reference_landmarks(family, n)
-            report = labeled_set_report(lg, landmarks)
+            report = is_doubly_resolving(dm, lg.line_indices(landmarks))
             assert report.ok, (family, n, landmarks)
             for sub in combinations(landmarks, 2):
-                assert not labeled_set_report(lg, sub).ok, (family, n, sub)
+                assert not is_doubly_resolving(dm, lg.line_indices(sub)).ok, (family, n, sub)
     _announce(
         6,
         "the four reference landmark triples pass and every 2-subset of each "

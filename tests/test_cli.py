@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,48 @@ def test_experiment_empty_range(capsys):
     code, report = run_json(capsys, ["experiment", "--n", "5..4", "--json"])
     assert code == 0
     assert report["rows"] == []
+
+
+def traced_peak_mb(argv) -> tuple[int, float]:
+    """Exit code of ``run(argv)`` and the most memory Python held meanwhile."""
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        return code, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_experiment_refuses_the_first_job_before_listing_the_rest(capsys):
+    # 40 values of n with about 25,000 k each; the first is over the order cap
+    code, peak = traced_peak_mb(["experiment", "--n", "50001..50040"])
+    assert code == 2 and peak < 10, peak
+    assert "'gp:50001:1'" in capsys.readouterr().err
+
+
+def test_reproduce_refuses_the_first_side_before_listing_the_range(tmp_path, capsys):
+    argv = ["reproduce", "--sunlet-n", "2001..4000000", "--out", str(tmp_path / "r.md")]
+    code, peak = traced_peak_mb(argv)
+    assert code == 1 and peak < 10, peak
+    assert "exceeds the maximum of 4000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--sunlet-n", "--prism-n", "--prism-dim-n"])
+def test_reproduce_empty_range_is_an_argument_error(tmp_path, capsys, flag):
+    out = tmp_path / "r.md"
+    assert run(["reproduce", flag, "5..4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"edge-drs: argument error: {flag} '5..4' is an empty range\n"
+    assert not out.exists()
+
+
+def test_deeply_nested_graph_file_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert run(["dim", "--graph", f"file:{path}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("edge-drs: error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
 
 
 def test_experiment_budget_falls_back_to_greedy(capsys):
@@ -387,7 +430,12 @@ GOLDEN_STDOUT = [
     (["dim", "--graph", "file:labelled.json", "--mode", "edge", "--all-optima",
       "--no-timing", "--json"],
      "17e06a98895ab35d2ef241fd0cd81f6a339da021689e362d8518ea520e9e392d"),
+    (["reproduce", "--out", "r.md", "--no-timing", "--json"],
+     "fc282aeb4d5df4f7731c27476e37f66a521b46f1cbd5ee47b1fa90908f0d0e00"),
 ]
+
+# sha256 of the Markdown the default reproduce battery writes
+GOLDEN_REPORT_MD = "da02afd00f7628b9d5e4ae5b51870c45481ad68ddff9bcbb81919f08ae2d51d4"
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
@@ -397,6 +445,8 @@ def test_no_timing_output_is_byte_identical(tmp_path, capsys, monkeypatch, argv,
     (tmp_path / "labelled.json").write_text(json.dumps(LABELLED_PATH))
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    if argv[0] == "reproduce":
+        assert hashlib.sha256((tmp_path / "r.md").read_bytes()).hexdigest() == GOLDEN_REPORT_MD
 
 
 @pytest.mark.parametrize("spec,mode", [("gp:12:5", "edge"), ("prism:7", "vertex")])
@@ -446,5 +496,4 @@ def test_default_reproduce_markdown_is_byte_identical(tmp_path, capsys):
     out = tmp_path / "report.md"
     assert run(["reproduce", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "da02afd00f7628b9d5e4ae5b51870c45481ad68ddff9bcbb81919f08ae2d51d4")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_MD

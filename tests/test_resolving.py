@@ -1,7 +1,9 @@
+import ast
 import random
 import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,8 +24,6 @@ from edgedrs import (
     greedy_doubly_resolving,
     is_doubly_resolving,
     is_resolving,
-    labeled_set_report,
-    labels_doubly_resolve_pair,
     line_graph,
     make_path,
     make_prism,
@@ -174,20 +174,37 @@ def test_full_edge_set_is_doubly_resolving():
 
 def test_sunlet8_pair_e0_e2_fails_with_confirmed_pair():
     s = make_sunlet(8)
-    report = labeled_set_report(s, ("e0", "e2"))
+    dm = s.graph.line_distance_matrix
+    landmarks = s.line_indices(("e0", "e2"))
+    report = is_doubly_resolving(dm, landmarks)
     assert not report.ok
     # the claimed blind pair for this family of sets is {e0, e7}
-    assert not labels_doubly_resolve_pair(s, ("e0", "e2"), ("e0", "e7"))
+    assert not doubly_resolves(dm, *landmarks, *s.line_indices(("e0", "e7")))
     labels = tuple(map(s.label_of_line_index, report.witness))
-    assert not labels_doubly_resolve_pair(s, ("e0", "e2"), labels)
+    assert not doubly_resolves(dm, *landmarks, *s.line_indices(labels))
 
 
 def test_sunlet8_reference_triple_passes():
-    assert labeled_set_report(make_sunlet(8), ("e0", "e1", "e4")).ok
+    s = make_sunlet(8)
+    dm = s.graph.line_distance_matrix
+    assert is_doubly_resolving(dm, s.line_indices(("e0", "e1", "e4"))).ok
 
 
 def test_sunlet9_reference_triple_passes():
-    assert labeled_set_report(make_sunlet(9), ("e0", "e1", "e5")).ok
+    s = make_sunlet(9)
+    dm = s.graph.line_distance_matrix
+    assert is_doubly_resolving(dm, s.line_indices(("e0", "e1", "e5"))).ok
+
+
+def test_the_search_module_reads_no_labels():
+    # resolving imports from edgedrs.core alone, never from the label layer
+    tree = ast.parse(Path(resolving.__file__).read_text(encoding="utf-8"))
+    local = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or node.module.startswith("edgedrs"))]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert local == ["core"]
+    assert not [name for name in imported if name.startswith("edgedrs")]
 
 
 def test_is_doubly_resolving_needs_two_landmarks():
@@ -649,10 +666,9 @@ def record_walks(monkeypatch):
     walks = []
     original = resolving._Walk.descend
 
-    def recording(self, columns, members, codes, start, r, prefix, stop):
-        if prefix == ():
-            walks.append((r, len(columns)))
-        return original(self, columns, members, codes, start, r, prefix, stop)
+    def recording(self, columns):
+        walks.append((self.k, len(columns)))
+        return original(self, columns)
 
     monkeypatch.setattr(resolving._Walk, "descend", recording)
     return walks
